@@ -1,14 +1,18 @@
 // Micro-benchmarks (google-benchmark) of the host-side runtime components:
 // the device memory manager (hot allocate/free path taken per sub-job), the
-// native CPU inference engine driven through the unified InferenceEngine
-// interface, and the InferenceServer's batching/dispatch overhead.
+// bit-accurate datapath executor against its scalar reference on one core,
+// the native CPU inference engine driven through the unified
+// InferenceEngine interface, and the InferenceServer's batching/dispatch
+// overhead.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "spnhbm/compiler/op_program.hpp"
 #include "spnhbm/engine/cpu_engine.hpp"
 #include "spnhbm/engine/server.hpp"
 #include "spnhbm/runtime/memory_manager.hpp"
@@ -58,6 +62,68 @@ void BM_ReferenceEvaluator(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ReferenceEvaluator)->Arg(10)->Arg(40)->Arg(80);
+
+/// Backend by benchmark argument: 0 float64, 1 CFP, 2 LNS, 3 posit.
+std::unique_ptr<arith::ArithBackend> format_backend(std::int64_t format) {
+  switch (format) {
+    case 1: return arith::make_cfp_backend(arith::paper_cfp_format());
+    case 2: return arith::make_lns_backend(arith::paper_lns_format());
+    case 3: return arith::make_posit_backend(arith::paper_posit_format());
+    default: return arith::make_float64_backend();
+  }
+}
+
+/// A NIPS datapath compiled for one format plus a batch of byte rows.
+struct DatapathBatch {
+  std::unique_ptr<arith::ArithBackend> backend;
+  compiler::DatapathModule module;
+  std::vector<std::uint8_t> rows;
+  std::size_t count = 0;
+
+  DatapathBatch(std::int64_t format, std::int64_t variables, std::size_t n)
+      : backend(format_backend(format)),
+        module(compiler::compile_spn(
+            workload::make_nips_model(static_cast<std::size_t>(variables)).spn,
+            *backend)),
+        rows(n * static_cast<std::size_t>(variables)),
+        count(n) {
+    Rng rng(5);
+    for (auto& b : rows) b = static_cast<std::uint8_t>(rng.next_below(256));
+  }
+};
+
+// The scalar oracle every engine is held bit-equal to: one sample at a
+// time through the virtual ArithBackend. Args: format, NIPS variables.
+void BM_DatapathEvaluate(benchmark::State& state) {
+  const DatapathBatch batch(state.range(0), state.range(1), 256);
+  const std::size_t features = batch.module.input_features();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(batch.module.evaluate(
+        *batch.backend, std::span(batch.rows).subspan(i * features, features)));
+    i = (i + 1) % batch.count;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(batch.backend->describe());
+}
+BENCHMARK(BM_DatapathEvaluate)
+    ->ArgsProduct({{0, 1, 2, 3}, {10, 80}});
+
+// The pre-encoded lane-batched executor on one core: the per-core speedup
+// over BM_DatapathEvaluate.
+void BM_OpProgram(benchmark::State& state) {
+  const DatapathBatch batch(state.range(0), state.range(1), 4096);
+  const compiler::OpProgram& program = batch.module.program(*batch.backend);
+  std::vector<double> results(batch.count);
+  for (auto _ : state) {
+    program.evaluate(batch.rows, results);
+    benchmark::DoNotOptimize(results.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch.count));
+  state.SetLabel(batch.backend->describe());
+}
+BENCHMARK(BM_OpProgram)->ArgsProduct({{0, 1, 2, 3}, {10, 80}});
 
 void BM_CpuEngineBatch(benchmark::State& state) {
   const auto model =

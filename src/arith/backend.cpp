@@ -23,6 +23,7 @@ class Float64Backend final : public ArithBackend {
   FormatKind kind() const override { return FormatKind::kFloat64; }
   std::string describe() const override { return "float64"; }
   int width_bits() const override { return 64; }
+  NumberFormat format() const override { return std::monostate{}; }
 
   std::uint64_t encode(double value) const override {
     return std::bit_cast<std::uint64_t>(value);
@@ -45,33 +46,36 @@ class Float64Backend final : public ArithBackend {
   }
 };
 
+// CFP and posit validate their format once here; the per-op calls go
+// through the pre-validated operator sets.
 class CfpBackend final : public ArithBackend {
  public:
-  explicit CfpBackend(CfpFormat format) : format_(format) { format_.validate(); }
+  explicit CfpBackend(CfpFormat format) : ops_(format) {}
 
   FormatKind kind() const override { return FormatKind::kCfp; }
-  std::string describe() const override { return format_.describe(); }
-  int width_bits() const override { return format_.total_bits(); }
+  std::string describe() const override { return ops_.format().describe(); }
+  int width_bits() const override { return ops_.format().total_bits(); }
+  NumberFormat format() const override { return ops_.format(); }
 
   std::uint64_t encode(double value) const override {
-    return cfp_encode(format_, value);
+    return ops_.encode(value);
   }
-  double decode(std::uint64_t bits) const override {
-    return cfp_decode(format_, bits);
-  }
+  double decode(std::uint64_t bits) const override { return ops_.decode(bits); }
   std::uint64_t add(std::uint64_t a, std::uint64_t b) const override {
-    return cfp_add(format_, a, b);
+    return ops_.add(a, b);
   }
   std::uint64_t mul(std::uint64_t a, std::uint64_t b) const override {
-    return cfp_mul(format_, a, b);
+    return ops_.mul(a, b);
   }
   // FCCM'20 operators: shallow pipelines tuned for the 225 MHz target.
   int add_latency_cycles() const override { return 4; }
   int mul_latency_cycles() const override { return 5; }
-  double min_positive() const override { return cfp_min_positive(format_); }
+  double min_positive() const override {
+    return cfp_min_positive(ops_.format());
+  }
 
  private:
-  CfpFormat format_;
+  CfpOps ops_;
 };
 
 class LnsBackend final : public ArithBackend {
@@ -81,6 +85,7 @@ class LnsBackend final : public ArithBackend {
   FormatKind kind() const override { return FormatKind::kLns; }
   std::string describe() const override { return context_.format().describe(); }
   int width_bits() const override { return context_.format().total_bits(); }
+  NumberFormat format() const override { return context_.format(); }
 
   std::uint64_t encode(double value) const override {
     return context_.encode(value);
@@ -105,35 +110,34 @@ class LnsBackend final : public ArithBackend {
 
 class PositBackend final : public ArithBackend {
  public:
-  explicit PositBackend(PositFormat format) : format_(format) {
-    format_.validate();
-  }
+  explicit PositBackend(PositFormat format) : ops_(format) {}
 
   FormatKind kind() const override { return FormatKind::kPosit; }
-  std::string describe() const override { return format_.describe(); }
-  int width_bits() const override { return format_.width; }
+  std::string describe() const override { return ops_.format().describe(); }
+  int width_bits() const override { return ops_.format().width; }
+  NumberFormat format() const override { return ops_.format(); }
 
   std::uint64_t encode(double value) const override {
-    return posit_encode(format_, value);
+    return ops_.encode(value);
   }
   double decode(std::uint64_t bits) const override {
-    return posit_decode(format_, static_cast<std::uint32_t>(bits));
+    return ops_.decode(static_cast<std::uint32_t>(bits));
   }
   std::uint64_t add(std::uint64_t a, std::uint64_t b) const override {
-    return posit_add(format_, static_cast<std::uint32_t>(a),
-                     static_cast<std::uint32_t>(b));
+    return ops_.add(static_cast<std::uint32_t>(a),
+                    static_cast<std::uint32_t>(b));
   }
   std::uint64_t mul(std::uint64_t a, std::uint64_t b) const override {
-    return posit_mul(format_, static_cast<std::uint32_t>(a),
-                     static_cast<std::uint32_t>(b));
+    return ops_.mul(static_cast<std::uint32_t>(a),
+                    static_cast<std::uint32_t>(b));
   }
   // PACoGen operators: regime decode/encode adds stages over CFP ([4]).
   int add_latency_cycles() const override { return 7; }
   int mul_latency_cycles() const override { return 8; }
-  double min_positive() const override { return posit_minpos(format_); }
+  double min_positive() const override { return posit_minpos(ops_.format()); }
 
  private:
-  PositFormat format_;
+  PositOps ops_;
 };
 
 }  // namespace

@@ -6,227 +6,83 @@
 
 namespace spnhbm::arith {
 
-namespace {
-
-struct Unpacked {
-  bool sign = false;
-  int exponent_field = 0;    // biased
-  std::uint64_t mantissa = 0;  // m bits, no implicit one
-  bool is_zero() const { return exponent_field == 0; }
-};
-
-Unpacked unpack(const CfpFormat& format, std::uint64_t bits) {
-  Unpacked u;
-  const std::uint64_t mant_mask = (format.mantissa_bits == 64)
-                                      ? ~0ull
-                                      : ((1ull << format.mantissa_bits) - 1);
-  u.mantissa = bits & mant_mask;
-  u.exponent_field = static_cast<int>((bits >> format.mantissa_bits) &
-                                      ((1ull << format.exponent_bits) - 1));
-  if (format.has_sign) {
-    u.sign = ((bits >> (format.mantissa_bits + format.exponent_bits)) & 1) != 0;
-  }
-  return u;
-}
-
-std::uint64_t pack(const CfpFormat& format, bool sign, int exponent_field,
-                   std::uint64_t mantissa) {
-  std::uint64_t bits = mantissa |
-                       (static_cast<std::uint64_t>(exponent_field)
-                        << format.mantissa_bits);
-  if (format.has_sign && sign) {
-    bits |= 1ull << (format.mantissa_bits + format.exponent_bits);
-  }
-  return bits;
-}
-
-std::uint64_t saturated(const CfpFormat& format, bool sign) {
-  return pack(format, sign, format.max_exponent_field(),
-              (1ull << format.mantissa_bits) - 1);
-}
-
-/// Rounds a value of the form `significand . grs` (3 guard bits) to an
-/// integer significand according to the format's rounding mode.
-std::uint64_t round_grs(const CfpFormat& format, std::uint64_t with_grs) {
-  const std::uint64_t integer = with_grs >> 3;
-  if (format.rounding == Rounding::kTruncate) return integer;
-  const std::uint64_t grs = with_grs & 0x7;
-  if (grs > 0x4) return integer + 1;              // > half: up
-  if (grs == 0x4) return integer + (integer & 1);  // tie: to even
-  return integer;                                  // < half: down
-}
-
-}  // namespace
-
 std::string CfpFormat::describe() const {
   return strformat("CFP<e=%d,m=%d,%s,%s>", exponent_bits, mantissa_bits,
                    has_sign ? "signed" : "unsigned",
                    rounding == Rounding::kNearestEven ? "rne" : "rz");
 }
 
-std::uint64_t cfp_encode(const CfpFormat& format, double value) {
-  format.validate();
+CfpOps::CfpOps(CfpFormat format) : format_(format) {
+  format_.validate();
+  m_ = format_.mantissa_bits;
+  bias_ = format_.bias();
+  max_exponent_field_ = format_.max_exponent_field();
+  sign_shift_ = format_.mantissa_bits + format_.exponent_bits;
+  mantissa_mask_ = (1ull << m_) - 1;
+  exponent_mask_ = (1ull << format_.exponent_bits) - 1;
+  // An unsigned 64-bit format has no bit above its magnitude.
+  magnitude_mask_ = sign_shift_ >= 64 ? ~0ull : (1ull << sign_shift_) - 1;
+  narrow_product_ = 2 * (m_ + 1) <= 64;
+}
+
+std::uint64_t CfpOps::encode(double value) const {
   bool sign = std::signbit(value);
-  if (sign && !format.has_sign) return 0;  // clamp negatives in unsigned mode
+  if (sign && !format_.has_sign) return 0;  // clamp negatives in unsigned mode
   double magnitude = std::fabs(value);
   if (magnitude == 0.0 || std::isnan(magnitude)) return 0;
-  if (std::isinf(magnitude)) return saturated(format, sign);
+  if (std::isinf(magnitude)) return saturated(sign);
 
   int exponent = 0;
   const double fraction = std::frexp(magnitude, &exponent);  // in [0.5, 1)
   exponent -= 1;  // now magnitude = (2*fraction) * 2^exponent, 2*fraction in [1,2)
 
   // Exact scaled significand: (2 * fraction) * 2^m, in [2^m, 2^(m+1)).
-  const double scaled = std::ldexp(fraction, format.mantissa_bits + 1);
+  const double scaled = std::ldexp(fraction, m_ + 1);
   auto integer = static_cast<std::uint64_t>(scaled);
   const double leftover = scaled - static_cast<double>(integer);
-  if (format.rounding == Rounding::kNearestEven) {
+  if (format_.rounding == Rounding::kNearestEven) {
     if (leftover > 0.5 || (leftover == 0.5 && (integer & 1) != 0)) ++integer;
   }
-  if (integer >= (1ull << (format.mantissa_bits + 1))) {
+  if (integer >= (1ull << (m_ + 1))) {
     integer >>= 1;
     ++exponent;
   }
 
-  const int exponent_field = exponent + format.bias();
-  if (exponent_field <= 0) return 0;  // flush to zero, no subnormals
-  if (exponent_field > format.max_exponent_field()) {
-    return saturated(format, sign);
-  }
-  const std::uint64_t mantissa =
-      integer & ((1ull << format.mantissa_bits) - 1);
-  return pack(format, sign, exponent_field, mantissa);
+  const int field = exponent + bias_;
+  if (field <= 0) return 0;  // flush to zero, no subnormals
+  if (field > max_exponent_field_) return saturated(sign);
+  return pack(sign, field, integer & mantissa_mask_);
+}
+
+double CfpOps::decode(std::uint64_t bits) const {
+  const int field = exponent_field(bits);
+  if (field == 0) return 0.0;
+  const double significand =
+      1.0 + std::ldexp(static_cast<double>(bits & mantissa_mask_), -m_);
+  const double magnitude = std::ldexp(significand, field - bias_);
+  return sign_of(bits) ? -magnitude : magnitude;
+}
+
+std::uint64_t cfp_encode(const CfpFormat& format, double value) {
+  return CfpOps(format).encode(value);
 }
 
 double cfp_decode(const CfpFormat& format, std::uint64_t bits) {
-  format.validate();
-  const Unpacked u = unpack(format, bits);
-  if (u.is_zero()) return 0.0;
-  const double significand =
-      1.0 + std::ldexp(static_cast<double>(u.mantissa), -format.mantissa_bits);
-  const double magnitude =
-      std::ldexp(significand, u.exponent_field - format.bias());
-  return u.sign ? -magnitude : magnitude;
+  return CfpOps(format).decode(bits);
 }
 
 std::uint64_t cfp_mul(const CfpFormat& format, std::uint64_t a,
                       std::uint64_t b) {
-  format.validate();
-  const Unpacked ua = unpack(format, a);
-  const Unpacked ub = unpack(format, b);
-  const bool sign = ua.sign != ub.sign;
-  if (ua.is_zero() || ub.is_zero()) return 0;
-
-  const int m = format.mantissa_bits;
-  const std::uint64_t sig_a = (1ull << m) | ua.mantissa;
-  const std::uint64_t sig_b = (1ull << m) | ub.mantissa;
-  unsigned __int128 product =
-      static_cast<unsigned __int128>(sig_a) * sig_b;  // in [2^2m, 2^(2m+2))
-
-  int exponent = (ua.exponent_field - format.bias()) +
-                 (ub.exponent_field - format.bias());
-  int shift = m;  // bits to drop to return to an (m+1)-bit significand
-  if ((product >> (2 * m + 1)) != 0) {
-    shift = m + 1;
-    ++exponent;
-  }
-
-  // Keep 3 guard bits, OR the rest into sticky.
-  std::uint64_t with_grs = 0;
-  if (shift >= 3) {
-    const int drop = shift - 3;
-    const unsigned __int128 dropped_mask =
-        (static_cast<unsigned __int128>(1) << drop) - 1;
-    const bool sticky = (product & dropped_mask) != 0;
-    with_grs = static_cast<std::uint64_t>(product >> drop);
-    if (sticky) with_grs |= 1;
-  } else {
-    with_grs = static_cast<std::uint64_t>(product) << (3 - shift);
-  }
-
-  std::uint64_t significand = round_grs(format, with_grs);
-  if (significand >= (1ull << (m + 1))) {
-    significand >>= 1;
-    ++exponent;
-  }
-
-  const int exponent_field = exponent + format.bias();
-  if (exponent_field <= 0) return 0;
-  if (exponent_field > format.max_exponent_field()) {
-    return saturated(format, sign);
-  }
-  return pack(format, sign, exponent_field,
-              significand & ((1ull << m) - 1));
+  return CfpOps(format).mul(a, b);
 }
 
 std::uint64_t cfp_add(const CfpFormat& format, std::uint64_t a,
                       std::uint64_t b) {
-  format.validate();
-  Unpacked ua = unpack(format, a);
-  Unpacked ub = unpack(format, b);
-  if (ua.is_zero()) return b;
-  if (ub.is_zero()) return a;
-
-  const int m = format.mantissa_bits;
-  // Order by magnitude: (exponent, mantissa) lexicographically.
-  if (ua.exponent_field < ub.exponent_field ||
-      (ua.exponent_field == ub.exponent_field && ua.mantissa < ub.mantissa)) {
-    std::swap(ua, ub);
-  }
-  const int d = ua.exponent_field - ub.exponent_field;
-
-  // (m+1)-bit significands with 3 guard bits appended.
-  const std::uint64_t big = (((1ull << m) | ua.mantissa) << 3);
-  std::uint64_t small = (((1ull << m) | ub.mantissa) << 3);
-  if (d > 0) {
-    if (d >= 64) {
-      small = (small != 0) ? 1 : 0;  // pure sticky
-    } else {
-      const bool sticky = (small & ((1ull << d) - 1)) != 0;
-      small >>= d;
-      if (sticky) small |= 1;
-    }
-  }
-
-  int exponent_field = ua.exponent_field;
-  std::uint64_t with_grs = 0;
-  bool sign = ua.sign;
-
-  if (ua.sign == ub.sign) {
-    with_grs = big + small;
-    if (with_grs >= (1ull << (m + 4))) {  // significand grew past m+1 bits
-      const bool sticky = (with_grs & 1) != 0;
-      with_grs >>= 1;
-      if (sticky) with_grs |= 1;
-      ++exponent_field;
-    }
-  } else {
-    with_grs = big - small;
-    if (with_grs == 0) return 0;  // exact cancellation
-    // Normalise left until the implicit one is back in position m (+3 grs).
-    while ((with_grs >> (m + 3)) == 0) {
-      with_grs <<= 1;
-      --exponent_field;
-      if (exponent_field <= 0) return 0;  // flush to zero
-    }
-  }
-
-  std::uint64_t significand = round_grs(format, with_grs);
-  if (significand >= (1ull << (m + 1))) {
-    significand >>= 1;
-    ++exponent_field;
-  }
-  if (exponent_field <= 0) return 0;
-  if (exponent_field > format.max_exponent_field()) {
-    return saturated(format, sign);
-  }
-  return pack(format, sign, exponent_field,
-              significand & ((1ull << m) - 1));
+  return CfpOps(format).add(a, b);
 }
 
 std::uint64_t cfp_max_value(const CfpFormat& format) {
-  format.validate();
-  return saturated(format, false);
+  return CfpOps(format).saturated(false);
 }
 
 double cfp_min_positive(const CfpFormat& format) {

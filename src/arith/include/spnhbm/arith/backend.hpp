@@ -1,15 +1,18 @@
 // Uniform interface over the number formats the datapath generator supports.
 //
-// The compiler picks a backend (CFP, LNS, or float64 for reference/baseline
-// designs); the datapath executor then evaluates every sum/product operator
-// through this interface, bit-accurately in the chosen format. Latencies
-// feed the pipeline scheduler; resource costs live in the FPGA cost model
+// The compiler picks a backend (CFP, LNS, posit, or float64 for
+// reference/baseline designs); the scalar reference evaluator runs every
+// sum/product operator through this interface, bit-accurately in the
+// chosen format, and the lane-batched executor (compiler::OpProgram)
+// instantiates the same operators from `format()`. Latencies feed the
+// pipeline scheduler; resource costs live in the FPGA cost model
 // (`spnhbm/fpga/resource_model.hpp`), keyed by `kind()`.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <variant>
 
 #include "spnhbm/arith/cfp.hpp"
 #include "spnhbm/arith/lns.hpp"
@@ -21,6 +24,12 @@ enum class FormatKind { kFloat64, kCfp, kLns, kPosit };
 
 const char* format_kind_name(FormatKind kind);
 
+/// A backend's number format: none for float64, else the validated
+/// format it was built with. Lets an executor instantiate the concrete
+/// operators once instead of dispatching through the backend per op.
+using NumberFormat =
+    std::variant<std::monostate, CfpFormat, LnsFormat, PositFormat>;
+
 class ArithBackend {
  public:
   virtual ~ArithBackend() = default;
@@ -29,6 +38,8 @@ class ArithBackend {
   virtual std::string describe() const = 0;
   /// Storage width of one value in bits.
   virtual int width_bits() const = 0;
+  /// The validated format behind this backend (monostate for float64).
+  virtual NumberFormat format() const = 0;
 
   virtual std::uint64_t encode(double value) const = 0;
   virtual double decode(std::uint64_t bits) const = 0;

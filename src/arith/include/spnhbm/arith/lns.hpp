@@ -44,11 +44,13 @@ struct LnsFormat {
   }
 
   std::string describe() const;
+  bool operator==(const LnsFormat&) const = default;
 };
 
-/// Precomputed Δ+-LUT plus format; build once, then use the free functions.
+/// Precomputed Δ+-LUT plus format, validated once at construction.
 /// Mirrors the synthesised operator: the LUT contents would be baked into
-/// BRAM at generation time.
+/// BRAM at generation time. mul() and add() are inline: the datapath
+/// executor runs them in its innermost loops.
 class LnsContext {
  public:
   explicit LnsContext(LnsFormat format);
@@ -72,8 +74,15 @@ class LnsContext {
   std::size_t lut_entries() const { return delta_lut_.size(); }
 
  private:
-  std::int64_t to_fixed_log(std::uint64_t bits) const;
-  std::uint64_t from_fixed_log(std::int64_t log_fixed) const;
+  std::int64_t to_fixed_log(std::uint64_t bits) const {
+    return static_cast<std::int64_t>(bits) + min_log_;
+  }
+  std::uint64_t from_fixed_log(std::int64_t log_fixed) const {
+    // Saturate into the nonzero code range [min_log_+1, max_log_].
+    if (log_fixed < min_log_ + 1) log_fixed = min_log_ + 1;
+    if (log_fixed > max_log_) log_fixed = max_log_;
+    return static_cast<std::uint64_t>(log_fixed - min_log_);
+  }
   std::int64_t delta_plus(std::int64_t d_fixed) const;
 
   LnsFormat format_;
@@ -86,5 +95,32 @@ class LnsContext {
   std::int64_t cutoff_fixed_ = 0;
   int lut_shift_ = 0;  // d-to-index shift
 };
+
+inline std::uint64_t LnsContext::mul(std::uint64_t a, std::uint64_t b) const {
+  if (a == zero_code_ || b == zero_code_) return zero_code_;
+  // Fixed-point addition of the logs; from_fixed_log saturates.
+  return from_fixed_log(to_fixed_log(a) + to_fixed_log(b));
+}
+
+inline std::int64_t LnsContext::delta_plus(std::int64_t d_fixed) const {
+  const std::int64_t t = -d_fixed;  // t >= 0
+  if (t >= cutoff_fixed_) return 0;
+  const auto index = static_cast<std::size_t>(t >> lut_shift_);
+  const std::int64_t frac = t & ((std::int64_t{1} << lut_shift_) - 1);
+  const std::int64_t lo = delta_lut_[index];
+  const std::int64_t hi = delta_lut_[index + 1];
+  // Piecewise-linear interpolation, matching the hardware operator.
+  return lo + (((hi - lo) * frac) >> lut_shift_);
+}
+
+inline std::uint64_t LnsContext::add(std::uint64_t a, std::uint64_t b) const {
+  if (a == zero_code_) return b;
+  if (b == zero_code_) return a;
+  const std::int64_t la = to_fixed_log(a);
+  const std::int64_t lb = to_fixed_log(b);
+  const std::int64_t hi = la < lb ? lb : la;
+  const std::int64_t lo = la < lb ? la : lb;
+  return from_fixed_log(hi + delta_plus(lo - hi));  // lo - hi <= 0
+}
 
 }  // namespace spnhbm::arith

@@ -38,6 +38,27 @@ struct PositFormat {
   std::int64_t max_scale() const { return (width - 2) * useed_log2(); }
 
   std::string describe() const;
+  bool operator==(const PositFormat&) const = default;
+};
+
+/// The posit operators over one format, validated once at construction so
+/// the per-operation entry points skip the check. The free posit_*
+/// functions wrap a fresh PositOps and so validate per call.
+class PositOps {
+ public:
+  explicit PositOps(PositFormat format) : format_(format) {
+    format_.validate();
+  }
+
+  const PositFormat& format() const { return format_; }
+
+  std::uint32_t encode(double value) const;
+  double decode(std::uint32_t bits) const;
+  std::uint32_t add(std::uint32_t a, std::uint32_t b) const;
+  std::uint32_t mul(std::uint32_t a, std::uint32_t b) const;
+
+ private:
+  PositFormat format_;
 };
 
 /// Bit patterns are kept in the low `width` bits of a uint32.

@@ -49,17 +49,6 @@ LnsContext::LnsContext(LnsFormat format) : format_(format) {
   }
 }
 
-std::int64_t LnsContext::to_fixed_log(std::uint64_t bits) const {
-  return static_cast<std::int64_t>(bits) + min_log_;
-}
-
-std::uint64_t LnsContext::from_fixed_log(std::int64_t log_fixed) const {
-  // Saturate into the nonzero code range [min_log_+1, max_log_].
-  if (log_fixed < min_log_ + 1) log_fixed = min_log_ + 1;
-  if (log_fixed > max_log_) log_fixed = max_log_;
-  return static_cast<std::uint64_t>(log_fixed - min_log_);
-}
-
 std::uint64_t LnsContext::encode(double value) const {
   if (!(value > 0.0) || std::isnan(value)) return zero_code_;
   if (std::isinf(value)) return from_fixed_log(max_log_);
@@ -76,33 +65,6 @@ double LnsContext::decode(std::uint64_t bits) const {
   const double log_value =
       std::ldexp(static_cast<double>(to_fixed_log(bits)), -format_.fraction_bits);
   return std::exp2(log_value);
-}
-
-std::uint64_t LnsContext::mul(std::uint64_t a, std::uint64_t b) const {
-  if (a == zero_code_ || b == zero_code_) return zero_code_;
-  // Fixed-point addition of the logs; from_fixed_log saturates.
-  return from_fixed_log(to_fixed_log(a) + to_fixed_log(b));
-}
-
-std::int64_t LnsContext::delta_plus(std::int64_t d_fixed) const {
-  const std::int64_t t = -d_fixed;  // t >= 0
-  if (t >= cutoff_fixed_) return 0;
-  const std::size_t index = static_cast<std::size_t>(t >> lut_shift_);
-  const std::int64_t frac = t & ((std::int64_t{1} << lut_shift_) - 1);
-  const std::int64_t lo = delta_lut_[index];
-  const std::int64_t hi = delta_lut_[index + 1];
-  // Piecewise-linear interpolation, matching the hardware operator.
-  return lo + (((hi - lo) * frac) >> lut_shift_);
-}
-
-std::uint64_t LnsContext::add(std::uint64_t a, std::uint64_t b) const {
-  if (a == zero_code_) return b;
-  if (b == zero_code_) return a;
-  std::int64_t la = to_fixed_log(a);
-  std::int64_t lb = to_fixed_log(b);
-  if (la < lb) std::swap(la, lb);
-  const std::int64_t d = lb - la;  // <= 0
-  return from_fixed_log(la + delta_plus(d));
 }
 
 double LnsContext::min_positive() const {

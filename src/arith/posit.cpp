@@ -199,16 +199,16 @@ double posit_minpos(const PositFormat& format) {
   return std::ldexp(1.0, -static_cast<int>(format.max_scale()));
 }
 
-std::uint32_t posit_encode(const PositFormat& format, double value) {
-  format.validate();
+std::uint32_t PositOps::encode(double value) const {
+  const PositFormat& format = format_;
   const Unpacked u = unpack_double(value);
   if (u.is_zero) return 0;
-  if (u.is_nar) return posit_nar(format);
+  if (u.is_nar) return sign_bit(format);
   return pack(format, u.sign, u.scale, u.significand, false);
 }
 
-double posit_decode(const PositFormat& format, std::uint32_t bits) {
-  format.validate();
+double PositOps::decode(std::uint32_t bits) const {
+  const PositFormat& format = format_;
   const Unpacked u = unpack(format, bits);
   if (u.is_zero) return 0.0;
   if (u.is_nar) return std::nan("");
@@ -218,12 +218,11 @@ double posit_decode(const PositFormat& format, std::uint32_t bits) {
   return u.sign ? -magnitude : magnitude;
 }
 
-std::uint32_t posit_mul(const PositFormat& format, std::uint32_t a,
-                        std::uint32_t b) {
-  format.validate();
+std::uint32_t PositOps::mul(std::uint32_t a, std::uint32_t b) const {
+  const PositFormat& format = format_;
   const Unpacked ua = unpack(format, a);
   const Unpacked ub = unpack(format, b);
-  if (ua.is_nar || ub.is_nar) return posit_nar(format);
+  if (ua.is_nar || ub.is_nar) return sign_bit(format);
   if (ua.is_zero || ub.is_zero) return 0;
   const bool sign = ua.sign != ub.sign;
   unsigned __int128 product =
@@ -243,12 +242,11 @@ std::uint32_t posit_mul(const PositFormat& format, std::uint32_t a,
   return pack(format, sign, scale, significand, sticky);
 }
 
-std::uint32_t posit_add(const PositFormat& format, std::uint32_t a,
-                        std::uint32_t b) {
-  format.validate();
+std::uint32_t PositOps::add(std::uint32_t a, std::uint32_t b) const {
+  const PositFormat& format = format_;
   Unpacked ua = unpack(format, a);
   Unpacked ub = unpack(format, b);
-  if (ua.is_nar || ub.is_nar) return posit_nar(format);
+  if (ua.is_nar || ub.is_nar) return sign_bit(format);
   if (ua.is_zero) return b & width_mask(format);
   if (ub.is_zero) return a & width_mask(format);
 
@@ -294,6 +292,24 @@ std::uint32_t posit_add(const PositFormat& format, std::uint32_t a,
   sticky = sticky ||
            (static_cast<std::uint64_t>(sum) & 0xFFFFFFFFull) != 0;
   return pack(format, sign, scale, significand, sticky);
+}
+
+std::uint32_t posit_encode(const PositFormat& format, double value) {
+  return PositOps(format).encode(value);
+}
+
+double posit_decode(const PositFormat& format, std::uint32_t bits) {
+  return PositOps(format).decode(bits);
+}
+
+std::uint32_t posit_mul(const PositFormat& format, std::uint32_t a,
+                        std::uint32_t b) {
+  return PositOps(format).mul(a, b);
+}
+
+std::uint32_t posit_add(const PositFormat& format, std::uint32_t a,
+                        std::uint32_t b) {
+  return PositOps(format).add(a, b);
 }
 
 }  // namespace spnhbm::arith

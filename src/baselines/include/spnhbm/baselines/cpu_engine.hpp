@@ -2,10 +2,10 @@
 //
 // The paper's CPU baseline is vectorised multi-threaded batch inference on
 // a 12-core Xeon E5-2680 v3. This engine reproduces that implementation
-// style: the compiled datapath is flattened into a linear double-precision
-// operator program and evaluated over *lanes* of samples simultaneously
-// (struct-of-arrays layout, so the compiler auto-vectorises across the
-// batch) with a thread pool splitting the batch across cores.
+// style: the compiled datapath runs as its float64 compiler::OpProgram,
+// which evaluates *lanes* of samples simultaneously (struct-of-arrays
+// layout, so the compiler auto-vectorises across the batch), with this
+// engine's own thread pool splitting the batch across cores.
 //
 // Because the container this repo is built in may have any core count, the
 // engine reports its own measured throughput; the paper-scale Xeon numbers
@@ -23,13 +23,11 @@ namespace spnhbm::baselines {
 
 class CpuInferenceEngine {
  public:
-  static constexpr std::size_t kLanes = 8;
-
   CpuInferenceEngine(const compiler::DatapathModule& module,
                      std::size_t threads);
 
   /// Batch inference: `samples` holds rows of `input_features()` bytes;
-  /// one joint probability per row is written to `results`.
+  /// one float64 datapath value per row is written to `results`.
   void infer(std::span<const std::uint8_t> samples,
              std::span<double> results);
 
@@ -41,10 +39,8 @@ class CpuInferenceEngine {
   const compiler::DatapathModule& module() const { return module_; }
 
  private:
-  void infer_block(std::span<const std::uint8_t> samples, std::size_t begin,
-                   std::size_t end, std::span<double> results) const;
-
   const compiler::DatapathModule& module_;
+  std::unique_ptr<arith::ArithBackend> f64_;
   std::unique_ptr<ThreadPool> pool_;
 };
 

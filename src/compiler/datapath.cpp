@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <mutex>
+#include <utility>
 
+#include "spnhbm/compiler/op_program.hpp"
 #include "spnhbm/spn/evaluate.hpp"
 #include "spnhbm/spn/validate.hpp"
 #include "spnhbm/util/error.hpp"
@@ -49,7 +52,8 @@ DatapathModule::DatapathModule(std::vector<DatapathOp> ops,
       input_features_(input_features),
       pipeline_depth_(pipeline_depth),
       query_(query),
-      default_evidence_(std::move(default_evidence)) {
+      default_evidence_(std::move(default_evidence)),
+      programs_(std::make_shared<ProgramCache>()) {
   SPNHBM_REQUIRE(result_op_ < ops_.size(), "result op out of range");
   if (default_evidence_.empty()) {
     default_evidence_.assign(
@@ -108,6 +112,24 @@ double DatapathModule::evaluate(const arith::ArithBackend& backend,
     }
   }
   return backend.decode(values[result_op_]);
+}
+
+struct DatapathModule::ProgramCache {
+  std::mutex mutex;
+  std::vector<std::pair<arith::NumberFormat, std::unique_ptr<const OpProgram>>>
+      programs;
+};
+
+const OpProgram& DatapathModule::program(
+    const arith::ArithBackend& backend) const {
+  const arith::NumberFormat format = backend.format();
+  const std::lock_guard<std::mutex> lock(programs_->mutex);
+  for (const auto& [built_for, program] : programs_->programs) {
+    if (built_for == format) return *program;
+  }
+  programs_->programs.emplace_back(
+      format, std::make_unique<const OpProgram>(*this, backend));
+  return *programs_->programs.back().second;
 }
 
 std::string DatapathModule::report() const {

@@ -139,6 +139,8 @@ class SampleView {
   bool is_sparse_ = false;
 };
 
+class OpProgram;
+
 /// The compiled artifact — everything the simulator ("bitstream") needs.
 class DatapathModule {
  public:
@@ -174,7 +176,9 @@ class DatapathModule {
   std::uint64_t balance_register_stages() const;
 
   /// Functional evaluation of one sample through the operator graph using
-  /// `backend` arithmetic — bit-accurate to the modelled hardware.
+  /// `backend` arithmetic — bit-accurate to the modelled hardware. This is
+  /// the readable scalar reference; engines run program() instead, and
+  /// tests hold the two bit-equal.
   double evaluate(const arith::ArithBackend& backend,
                   std::span<const std::uint8_t> sample) const;
   /// Same, over a SampleView (dense or sparse) — identical arithmetic,
@@ -182,9 +186,15 @@ class DatapathModule {
   double evaluate(const arith::ArithBackend& backend,
                   const SampleView& sample) const;
 
+  /// The executor for `backend`'s format, built on first use and shared
+  /// by every later caller (and every copy of this module). Thread-safe.
+  const OpProgram& program(const arith::ArithBackend& backend) const;
+
   std::string report() const;
 
  private:
+  struct ProgramCache;
+
   std::vector<DatapathOp> ops_;
   std::vector<LookupTable> tables_;
   OpId result_op_;
@@ -192,6 +202,7 @@ class DatapathModule {
   std::uint32_t pipeline_depth_;
   QueryKind query_ = QueryKind::kJoint;
   std::vector<std::uint8_t> default_evidence_;
+  std::shared_ptr<ProgramCache> programs_;
 };
 
 /// Compiles the SPN into a scheduled datapath for the given arithmetic

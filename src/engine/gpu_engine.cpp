@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "spnhbm/compiler/op_program.hpp"
 #include "spnhbm/compiler/sparse_evidence.hpp"
 
 namespace spnhbm::engine {
@@ -41,12 +42,8 @@ void GpuModelEngine::activate(ModelHandle next) {
 BatchHandle GpuModelEngine::submit(std::span<const std::uint8_t> samples,
                                    std::span<double> results) {
   const std::size_t count = check_batch(samples, results);
-  const std::size_t features = capabilities_.input_features;
   const compiler::DatapathModule& module = artifact_->module();
-  for (std::size_t i = 0; i < count; ++i) {
-    results[i] = module.evaluate(*f64_, samples.subspan(i * features,
-                                                        features));
-  }
+  module.program(*f64_).evaluate(samples, results);
   stats_.batches += 1;
   stats_.samples += count;
   const double batch_seconds =
@@ -61,12 +58,9 @@ BatchHandle GpuModelEngine::submit_sparse(std::span<const std::uint8_t> stream,
                                           std::span<double> results) {
   check_sparse_batch(stream, sample_count, results);
   const compiler::DatapathModule& module = artifact_->module();
-  const compiler::SparseBatch batch = compiler::decode_sparse(
-      stream, module.input_features(), sample_count);
-  for (std::size_t i = 0; i < sample_count; ++i) {
-    results[i] =
-        module.evaluate(*f64_, batch.view(i, module.default_evidence()));
-  }
+  module.program(*f64_).evaluate(
+      compiler::decode_sparse(stream, module.input_features(), sample_count),
+      results);
   stats_.batches += 1;
   stats_.samples += sample_count;
   const double batch_seconds =

@@ -2,9 +2,10 @@
 //
 // Timing comes from the mechanistic model (kernel launches, DRAM
 // round-trips, PCIe transfers — see gpu/execution_model.hpp); functional
-// results are computed host-side in double precision through the same
-// compiled operator program, which mirrors the real baseline: SPFlow's
-// TensorFlow backend also evaluates the graph in IEEE floating point.
+// results are computed host-side in double precision through the float64
+// OpProgram of the compiled datapath, which mirrors the real baseline:
+// SPFlow's TensorFlow backend also evaluates the graph in IEEE floating
+// point.
 #pragma once
 
 #include <memory>
@@ -32,8 +33,8 @@ class GpuModelEngine : public InferenceEngine {
   void activate(ModelHandle next) override;
   BatchHandle submit(std::span<const std::uint8_t> samples,
                      std::span<double> results) override;
-  /// Sparse batches evaluate through SampleView without densifying;
-  /// timing stays the dense analytic model (the real TF baseline feeds
+  /// Sparse batches evaluate through the program's sparse path; timing
+  /// stays the dense analytic model (the real TF baseline feeds
   /// dense tensors, so sparse evidence saves it nothing).
   BatchHandle submit_sparse(std::span<const std::uint8_t> stream,
                             std::size_t sample_count,

@@ -1,10 +1,10 @@
 #include "spnhbm/fpga/accelerator.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
+#include <exception>
 #include <vector>
 
+#include "spnhbm/compiler/op_program.hpp"
 #include "spnhbm/compiler/sparse_evidence.hpp"
 #include "spnhbm/util/log.hpp"
 
@@ -129,8 +129,17 @@ sim::Process SpnAccelerator::job_process() {
   co_await datapath.join();
   co_await store.join();
 
+  // A functional failure (say, a feature byte outside a lookup table)
+  // still completes the job, so the host's waiters resume and the
+  // simulation drains; the error then surfaces through the runner's
+  // check() instead of leaving the PE busy forever.
+  std::exception_ptr failure;
   if (config_.compute_results && backing_ != nullptr) {
-    evaluate_block(input_address, output_address, samples, input_bytes);
+    try {
+      evaluate_block(input_address, output_address, samples, input_bytes);
+    } catch (...) {
+      failure = std::current_exception();
+    }
   }
   samples_processed_ += samples;
   ctr_jobs_->add(1);
@@ -140,6 +149,7 @@ sim::Process SpnAccelerator::job_process() {
   busy_ = false;
   done_ = true;
   done_notify_.notify_all();
+  if (failure) std::rethrow_exception(failure);
 }
 
 sim::Process SpnAccelerator::load_unit(std::uint64_t input_address,
@@ -233,34 +243,27 @@ void SpnAccelerator::evaluate_block(std::uint64_t input_address,
                                     std::uint64_t output_address,
                                     std::uint64_t samples,
                                     std::uint64_t input_bytes) {
-  const std::size_t features = module_.input_features();
-  std::vector<std::uint8_t> outputs(samples * 8);
-  const auto emit = [&](std::uint64_t s, double result) {
-    const auto bits = std::bit_cast<std::uint64_t>(result);
-    std::memcpy(outputs.data() + s * 8, &bits, 8);
-  };
+  const compiler::OpProgram& program = module_.program(backend_);
+  std::vector<double> results(samples);
   if (input_bytes != 0) {
     // Sparse path: decode the CSR stream in-core and evaluate each sample
     // against the module's default evidence — the marginalised slot for
     // non-joint datapaths.
     std::vector<std::uint8_t> stream(input_bytes);
     backing_->read_backdoor(input_address, stream);
-    const compiler::SparseBatch batch =
-        compiler::decode_sparse(stream, features, samples);
-    for (std::uint64_t s = 0; s < samples; ++s) {
-      emit(s, module_.evaluate(backend_,
-                               batch.view(s, module_.default_evidence())));
-    }
+    program.evaluate(
+        compiler::decode_sparse(stream, module_.input_features(), samples),
+        results);
   } else {
-    std::vector<std::uint8_t> inputs(samples * features);
+    std::vector<std::uint8_t> inputs(samples * module_.input_features());
     backing_->read_backdoor(input_address, inputs);
-    for (std::uint64_t s = 0; s < samples; ++s) {
-      emit(s,
-           module_.evaluate(backend_, std::span<const std::uint8_t>(inputs)
-                                          .subspan(s * features, features)));
-    }
+    program.evaluate(inputs, results);
   }
-  backing_->write_backdoor(output_address, outputs);
+  // Results are stored as the host-endian bytes of each double.
+  backing_->write_backdoor(
+      output_address,
+      std::span(reinterpret_cast<const std::uint8_t*>(results.data()),
+                results.size() * sizeof(double)));
 }
 
 }  // namespace spnhbm::fpga

@@ -10,6 +10,7 @@
 // exception, waiter list), so dropping the handle is always safe.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <exception>
 #include <memory>
@@ -110,7 +111,10 @@ class Process {
 /// Starts processes on a scheduler and tracks their completion states so a
 /// process that dies with an unjoined exception cannot fail silently:
 /// `check()` (called by the simulation drivers after `run()`) rethrows the
-/// first unconsumed exception.
+/// first unconsumed exception. States of finished processes that hold no
+/// unconsumed exception are dropped whenever the list has doubled, so a
+/// long-lived runner (one per engine, spawning processes for every batch)
+/// holds a bounded list instead of every process it ever spawned.
 class ProcessRunner {
  public:
   explicit ProcessRunner(Scheduler& scheduler) : scheduler_(scheduler) {}
@@ -124,6 +128,11 @@ class ProcessRunner {
     SPNHBM_REQUIRE(process.state_ != nullptr, "spawn of empty process");
     process.state_->scheduler = &scheduler_;
     scheduler_.schedule_at(scheduler_.now(), process.handle_);
+    // Prune when the list doubles: amortised O(1) per spawn.
+    if (states_.size() >= prune_at_) {
+      prune();
+      prune_at_ = std::max(kMinPruneAt, 2 * states_.size());
+    }
     states_.push_back(process.state_);
     return process;
   }
@@ -159,11 +168,27 @@ class ProcessRunner {
     return true;
   }
 
+  /// Completion states held: live processes, finished ones whose
+  /// exception nobody has consumed yet, and clean ones not yet dropped.
+  std::size_t tracked() const { return states_.size(); }
+
   Scheduler& scheduler() { return scheduler_; }
 
  private:
+  static constexpr std::size_t kMinPruneAt = 64;
+
+  /// Drops finished states that hold no unconsumed exception; spawn order
+  /// is kept, so check() still rethrows the first failure.
+  void prune() {
+    std::erase_if(states_, [](const std::shared_ptr<Process::State>& state) {
+      return state->done &&
+             (state->exception == nullptr || state->exception_consumed);
+    });
+  }
+
   Scheduler& scheduler_;
   std::vector<std::shared_ptr<Process::State>> states_;
+  std::size_t prune_at_ = kMinPruneAt;
 };
 
 }  // namespace spnhbm::sim

@@ -31,7 +31,8 @@ class ThreadPool {
   std::future<void> submit(std::function<void()> task);
 
   /// Runs `fn(chunk_begin, chunk_end)` over [0, n) split across the pool and
-  /// blocks until every chunk is done. Exceptions from chunks propagate.
+  /// blocks until every chunk is done. The first failing chunk's
+  /// exception (in index order) propagates once all chunks have finished.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 

@@ -46,6 +46,8 @@ void ThreadPool::parallel_for(
     const std::size_t end = std::min(begin + chunk_size, n);
     futures.push_back(submit([&fn, begin, end] { fn(begin, end); }));
   }
+  // Every chunk borrows `fn`: wait for all of them before rethrowing.
+  for (auto& future : futures) future.wait();
   for (auto& future : futures) future.get();
 }
 

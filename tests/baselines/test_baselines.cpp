@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "spnhbm/baselines/cpu_engine.hpp"
 #include "spnhbm/baselines/reference_platforms.hpp"
 #include "spnhbm/spn/evaluate.hpp"
+#include "spnhbm/spn/random_spn.hpp"
 #include "spnhbm/util/rng.hpp"
 #include "spnhbm/util/stats.hpp"
 #include "spnhbm/workload/model_zoo.hpp"
@@ -30,6 +33,79 @@ TEST(CpuEngine, MatchesReferenceEvaluator) {
     const double want = reference.evaluate_bytes(
         std::span<const std::uint8_t>(samples).subspan(i * 10, 10));
     EXPECT_DOUBLE_EQ(results[i], want) << "sample " << i;
+  }
+}
+
+/// The engine's interpreter before it ran the float64 OpProgram: plain
+/// doubles over the module's ops, std::max for max nodes. Kept here as
+/// the fixed point the program's float64 instantiation must reproduce.
+std::vector<double> legacy_interpreter(const compiler::DatapathModule& module,
+                                       std::span<const std::uint8_t> rows) {
+  const std::size_t features = module.input_features();
+  const auto& ops = module.ops();
+  std::vector<double> results(rows.size() / features);
+  std::vector<double> values(ops.size());
+  for (std::size_t s = 0; s < results.size(); ++s) {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const auto& op = ops[i];
+      switch (op.kind) {
+        case compiler::OpKind::kHistogramLookup:
+          values[i] = module.tables()[op.table_index]
+                          .probability_by_byte[rows[s * features + op.variable]];
+          break;
+        case compiler::OpKind::kMul:
+          values[i] = values[op.lhs] * values[op.rhs];
+          break;
+        case compiler::OpKind::kConstMul:
+          values[i] = values[op.lhs] * op.constant;
+          break;
+        case compiler::OpKind::kAdd:
+          values[i] = values[op.lhs] + values[op.rhs];
+          break;
+        case compiler::OpKind::kMax:
+          values[i] = std::max(values[op.lhs], values[op.rhs]);
+          break;
+      }
+    }
+    results[s] = values[module.result_op()];
+  }
+  return results;
+}
+
+TEST(CpuEngine, BitEqualToTheLegacyInterpreterForEveryQuery) {
+  spn::RandomSpnConfig config;
+  config.variables = 12;
+  config.leaf_domain = compiler::kMissingByte;
+  config.seed = 77;
+  const spn::Spn spn = spn::make_random_spn(config);
+  const auto backend = arith::make_float64_backend();
+  for (const auto query :
+       {compiler::QueryKind::kJoint, compiler::QueryKind::kMarginal,
+        compiler::QueryKind::kMpe}) {
+    compiler::CompileOptions options;
+    options.query = query;
+    options.input_domain = compiler::kMissingByte;
+    const auto module = compiler::compile_spn(spn, *backend, options);
+    if (query == compiler::QueryKind::kMpe) {
+      ASSERT_GT(module.count_ops(compiler::OpKind::kMax), 0u);
+    }
+    Rng rng(5);
+    const std::size_t count = 1027;
+    std::vector<std::uint8_t> rows(count * 12);
+    for (auto& byte : rows) {
+      byte = query != compiler::QueryKind::kJoint && rng.next_below(3) == 0
+                 ? compiler::kMissingByte
+                 : static_cast<std::uint8_t>(
+                       rng.next_below(compiler::kMissingByte));
+    }
+    std::vector<double> results(count);
+    CpuInferenceEngine(module, 3).infer(rows, results);
+    const auto want = legacy_interpreter(module, rows);
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(results[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << compiler::query_kind_name(query) << " sample " << i;
+    }
   }
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "spnhbm/compiler/sparse_evidence.hpp"
 #include "spnhbm/engine/cpu_engine.hpp"
@@ -133,6 +135,42 @@ TEST(QueryEngines, SparseEqualsDenseOnEveryBackend) {
     EXPECT_DOUBLE_EQ(s_cpu[i], dense[i]) << "sample " << i;
     EXPECT_DOUBLE_EQ(s_fpga[i], dense[i]) << "sample " << i;
     EXPECT_DOUBLE_EQ(s_gpu[i], dense[i]) << "sample " << i;
+  }
+}
+
+TEST(QueryEngines, ByteOutsideANarrowJointTableThrowsOnEveryBackend) {
+  // A joint model over a 16-byte domain: byte 16 has no table entry, and
+  // every engine's executor must refuse it as the reference does — for a
+  // short batch and for one the CPU engine splits across its pool.
+  spn::RandomSpnConfig config;
+  config.variables = kVars;
+  config.leaf_domain = 16;
+  config.seed = 107;
+  compiler::CompileOptions options;
+  options.input_domain = 16;
+  const auto artifact = model::ModelArtifact::compile(
+      "narrow", "1", spn::make_random_spn(config),
+      arith::make_cfp_backend(arith::paper_cfp_format()), options);
+  for (const std::size_t count : {std::size_t{5}, std::size_t{8192}}) {
+    std::vector<std::uint8_t> rows(count * kVars, 3);
+    rows[count * kVars - 1] = 16;
+    const auto expect_refused = [&](InferenceEngine& engine) {
+      try {
+        (void)engine.infer(rows);
+        ADD_FAILURE() << engine.capabilities().name << " accepted byte 16";
+      } catch (const std::logic_error& error) {
+        EXPECT_NE(std::string(error.what()).find(
+                      "feature byte outside lookup table"),
+                  std::string::npos)
+            << error.what();
+      }
+    };
+    FpgaSimEngine fpga(artifact);
+    CpuEngine cpu(artifact, {.threads = 2});
+    GpuModelEngine gpu(artifact);
+    expect_refused(fpga);
+    expect_refused(cpu);
+    expect_refused(gpu);
   }
 }
 

@@ -4,7 +4,11 @@
 
 #include <bit>
 #include <cstring>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "spnhbm/compiler/sparse_evidence.hpp"
 #include "spnhbm/spn/evaluate.hpp"
 #include "spnhbm/spn/text_format.hpp"
 #include "spnhbm/util/rng.hpp"
@@ -99,6 +103,80 @@ TEST(Accelerator, ComputesRealResults) {
       EXPECT_EQ(got, 0.0);
     }
   }
+}
+
+TEST(Accelerator, LargeBlocksBitEqualToTheOracle) {
+  // A block of many lane groups, dense and sparse: each job must store
+  // the oracle's exact bits.
+  const std::uint64_t samples = 5003;
+  Rng rng(7);
+  std::vector<std::uint8_t> inputs(samples * 2);
+  for (auto& b : inputs) b = static_cast<std::uint8_t>(rng.next_below(256));
+  for (const bool sparse : {false, true}) {
+    Harness h;
+    std::uint64_t input_bytes = 0;
+    if (sparse) {
+      const auto stream = compiler::encode_sparse(compiler::sparse_from_dense(
+          inputs, 2, h.module.default_evidence()));
+      h.channel.write_backdoor(0, stream);
+      input_bytes = stream.size();
+    } else {
+      h.channel.write_backdoor(0, inputs);
+    }
+    h.accelerator.write_register(Reg::kInputAddress, 0);
+    h.accelerator.write_register(Reg::kOutputAddress, 1 * kMiB);
+    h.accelerator.write_register(Reg::kSampleCount, samples);
+    h.accelerator.write_register(Reg::kInputBytes, input_bytes);
+    h.accelerator.write_register(Reg::kControl, 1);
+    h.scheduler.run();
+    h.runner.check();
+
+    std::vector<std::uint8_t> raw(samples * 8);
+    h.channel.read_backdoor(1 * kMiB, raw);
+    for (std::uint64_t s = 0; s < samples; ++s) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, raw.data() + s * 8, 8);
+      const double want = h.module.evaluate(
+          *h.backend, std::span<const std::uint8_t>(inputs).subspan(s * 2, 2));
+      ASSERT_EQ(bits, std::bit_cast<std::uint64_t>(want))
+          << (sparse ? "sparse" : "dense") << " sample " << s;
+    }
+  }
+}
+
+TEST(Accelerator, FunctionalFailureCompletesTheJobAndSurfacesViaCheck) {
+  // Tables over bytes [0, 128): byte 200 has no entry.
+  sim::Scheduler scheduler;
+  sim::ProcessRunner runner{scheduler};
+  hbm::HbmChannel channel{scheduler};
+  const auto backend = arith::make_cfp_backend(arith::paper_cfp_format());
+  compiler::CompileOptions options;
+  options.input_domain = 128;
+  const auto module = compiler::compile_spn(two_var_spn(), *backend, options);
+  SpnAccelerator accelerator{runner, module, *backend, channel.port(),
+                             &channel};
+  const auto run_job = [&](std::uint8_t byte) {
+    channel.write_backdoor(0, std::vector<std::uint8_t>(64 * 2, byte));
+    accelerator.write_register(Reg::kInputAddress, 0);
+    accelerator.write_register(Reg::kOutputAddress, 1 * kMiB);
+    accelerator.write_register(Reg::kSampleCount, 64);
+    accelerator.write_register(Reg::kControl, 1);
+    scheduler.run();
+  };
+  run_job(200);
+  EXPECT_FALSE(accelerator.busy());
+  try {
+    runner.check();
+    FAIL() << "out-of-table byte accepted";
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what()).find(
+                  "feature byte outside lookup table"),
+              std::string::npos);
+  }
+  // The PE is not wedged: the next job runs normally.
+  run_job(3);
+  EXPECT_NO_THROW(runner.check());
+  EXPECT_EQ(accelerator.samples_processed(), 128u);
 }
 
 TEST(Accelerator, SteadyStateThroughputIsOneSamplePerCycle) {

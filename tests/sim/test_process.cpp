@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -123,6 +124,60 @@ TEST(Process, ZeroDelayYieldsThroughQueue) {
   // Round-robin interleaving, still at time zero.
   EXPECT_EQ(order, (std::vector<int>{1, 2, 11, 12}));
   EXPECT_EQ(scheduler.now(), 0);
+}
+
+TEST(Process, RunnerStateStaysBoundedOverManyCycles) {
+  // One runner per engine lives as long as the engine and spawns
+  // processes for every batch: finished, clean states must not pile up.
+  Scheduler scheduler;
+  ProcessRunner runner(scheduler);
+  std::vector<Picoseconds> ignored;
+  std::size_t most_tracked = 0;
+  for (int cycle = 0; cycle < 10'000; ++cycle) {
+    runner.spawn(counting_process(scheduler, ignored, 1, 1));
+    scheduler.run();
+    runner.check();
+    most_tracked = std::max(most_tracked, runner.tracked());
+  }
+  EXPECT_LE(most_tracked, 64u);
+  EXPECT_TRUE(runner.all_done());
+  EXPECT_EQ(ignored.size(), 10'000u);
+}
+
+TEST(Process, FailedProcessSurvivesPruningUntilChecked) {
+  Scheduler scheduler;
+  ProcessRunner runner(scheduler);
+  runner.spawn(throwing_process(scheduler));
+  scheduler.run();
+  // Enough clean spawns to trigger several prunes before the check.
+  std::vector<Picoseconds> ignored;
+  for (int i = 0; i < 1'000; ++i) {
+    runner.spawn(counting_process(scheduler, ignored, 1, 1));
+    scheduler.run();
+  }
+  EXPECT_THROW(runner.check(), Error);
+  EXPECT_NO_THROW(runner.check());
+  // Consumed now: the next prune drops it with the clean states.
+  for (int i = 0; i < 200; ++i) {
+    runner.spawn(counting_process(scheduler, ignored, 1, 1));
+    scheduler.run();
+  }
+  EXPECT_LE(runner.tracked(), 64u);
+}
+
+TEST(Process, AllDoneSeesLiveProcessesAfterPruning) {
+  Scheduler scheduler;
+  ProcessRunner runner(scheduler);
+  std::vector<Picoseconds> ignored;
+  for (int i = 0; i < 200; ++i) {
+    runner.spawn(counting_process(scheduler, ignored, 1, 1));
+  }
+  runner.spawn(counting_process(scheduler, ignored, 1, 1'000));
+  scheduler.run_until(500);
+  runner.check();
+  EXPECT_FALSE(runner.all_done());
+  scheduler.run();
+  EXPECT_TRUE(runner.all_done());
 }
 
 }  // namespace

@@ -43,6 +43,23 @@ TEST(ThreadPool, PropagatesExceptions) {
   EXPECT_THROW(future.get(), std::runtime_error);
 }
 
+TEST(ThreadPool, ParallelForFinishesEveryChunkBeforeRethrowing) {
+  // Chunks borrow the caller's function: a failing first chunk must not
+  // let parallel_for return while later chunks still run.
+  ThreadPool pool(2);
+  std::atomic<int> finished{0};
+  const std::size_t n = 64;  // 8 chunks of 8 on two workers
+  EXPECT_THROW(pool.parallel_for(n,
+                                 [&](std::size_t begin, std::size_t) {
+                                   if (begin == 0) {
+                                     throw std::runtime_error("first");
+                                   }
+                                   ++finished;
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 7);
+}
+
 TEST(ThreadPool, RejectsZeroWorkers) {
   EXPECT_THROW(ThreadPool(0), std::logic_error);
 }
