@@ -45,7 +45,8 @@ inline double simulate_hbm_throughput(const compiler::DatapathModule& module,
   config.include_transfers = include_transfers;
   config.compute_results = false;
   config.skip_placement_check = skip_placement;
-  engine::FpgaSimEngine fpga(module, backend, config);
+  engine::FpgaSimEngine fpga(
+      model::ModelArtifact::wrap("bench", module, backend), config);
   return fpga.measure_throughput(static_cast<std::uint64_t>(pe_count) *
                                  samples_per_pe);
 }
@@ -62,7 +63,8 @@ inline double simulate_f1_throughput(const compiler::DatapathModule& module,
   config.memory_channels = memory_channels;
   config.threads_per_pe = 2;  // [8] overlapped with multiple threads
   config.compute_results = false;
-  engine::FpgaSimEngine fpga(module, backend, config);
+  engine::FpgaSimEngine fpga(
+      model::ModelArtifact::wrap("bench", module, backend), config);
   return fpga.measure_throughput(static_cast<std::uint64_t>(pe_count) *
                                  samples_per_pe);
 }

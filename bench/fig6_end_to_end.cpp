@@ -59,7 +59,8 @@ int main() {
     const double f1 = simulate_f1_throughput(module_f64, *f64, f1_pes, f1_pes,
                                              1'000'000);
 
-    engine::CpuEngine cpu(module_f64);
+    engine::CpuEngine cpu(
+        spnhbm::model::ModelArtifact::wrap(model.name, module_f64, *f64));
     const double native_cpu = cpu.measure_throughput(200'000);
 
     table.add_row({model.name, msamples(hbm), msamples(hbm_ref.at(size)),

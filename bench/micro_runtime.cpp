@@ -128,9 +128,8 @@ BENCHMARK(BM_OpProgram)->ArgsProduct({{0, 1, 2, 3}, {10, 80}});
 void BM_CpuEngineBatch(benchmark::State& state) {
   const auto model =
       workload::make_nips_model(static_cast<std::size_t>(state.range(0)));
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
-  engine::CpuEngine cpu(module);
+  engine::CpuEngine cpu(spnhbm::model::ModelArtifact::compile(
+      model.name, "1", model.spn, arith::make_float64_backend()));
   Rng rng(5);
   const std::size_t count = 8192;
   std::vector<std::uint8_t> samples(count * model.variables);
@@ -149,13 +148,13 @@ BENCHMARK(BM_CpuEngineBatch)->Arg(10)->Arg(80);
 // batches — measures the scheduler's per-request overhead, not the math.
 void BM_ServerSmallRequests(benchmark::State& state) {
   const auto model = workload::make_nips_model(10);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
   engine::ServerConfig config;
   config.batch_samples = 1024;
   config.max_latency = std::chrono::microseconds(200);
   engine::InferenceServer server(config);
-  server.register_engine(std::make_shared<engine::CpuEngine>(module));
+  server.register_engine(
+      std::make_shared<engine::CpuEngine>(spnhbm::model::ModelArtifact::compile(
+          model.name, "1", model.spn, arith::make_float64_backend())));
   server.start();
   Rng rng(5);
   const std::size_t requests = 64;

@@ -34,15 +34,15 @@ int main() {
   const std::size_t samples_per_request = 8;
 
   const auto model = workload::make_nips_model(variables);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
+  const engine::ModelHandle nips = spnhbm::model::ModelArtifact::compile(
+      model.name, "1", model.spn, arith::make_float64_backend());
 
   // Both engines behind the ChaosEngine decorator, so the fault plan can
   // target them by name at the engine.submit site.
   auto fpga = std::make_shared<engine::ChaosEngine>(
-      std::make_unique<engine::FpgaSimEngine>(module, *backend));
+      std::make_unique<engine::FpgaSimEngine>(nips));
   auto cpu = std::make_shared<engine::ChaosEngine>(
-      std::make_unique<engine::CpuEngine>(module));
+      std::make_unique<engine::CpuEngine>(nips));
   const std::string fpga_name = fpga->capabilities().name;
 
   // The scripted outage: the FPGA engine rejects its first six submits

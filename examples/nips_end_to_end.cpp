@@ -39,7 +39,9 @@ int main(int argc, char** argv) {
     engine::FpgaEngineConfig config;
     config.pe_count = max_pes;
     config.compute_results = false;
-    engine::FpgaSimEngine hbm(module, *backend, config);
+    engine::FpgaSimEngine hbm(
+        spnhbm::model::ModelArtifact::wrap(model.name, module, *backend),
+        config);
     const double rate =
         hbm.measure_throughput(static_cast<std::uint64_t>(max_pes) *
                                2'000'000);
@@ -62,7 +64,9 @@ int main(int argc, char** argv) {
     config.memory_channels = f1_pes;
     config.threads_per_pe = 2;
     config.compute_results = false;
-    engine::FpgaSimEngine f1(module_f64, *f64, config);
+    engine::FpgaSimEngine f1(
+        spnhbm::model::ModelArtifact::wrap(model.name, module_f64, *f64),
+        config);
     const double rate =
         f1.measure_throughput(static_cast<std::uint64_t>(f1_pes) * 1'000'000);
     std::printf("F1 x%d [8] (simulated): %s\n", f1_pes,
@@ -71,9 +75,8 @@ int main(int argc, char** argv) {
 
   // 5. Native CPU baseline, measured for real on this machine.
   {
-    const auto f64 = arith::make_float64_backend();
-    const auto module_f64 = compiler::compile_spn(model.spn, *f64);
-    engine::CpuEngine cpu(module_f64);
+    engine::CpuEngine cpu(spnhbm::model::ModelArtifact::compile(
+        model.name, "1", model.spn, arith::make_float64_backend()));
     const double rate = cpu.measure_throughput(200'000);
     std::printf("CPU x%zu threads (native, this machine): %s\n",
                 cpu.threads(), format_rate(rate).c_str());
@@ -85,7 +88,8 @@ int main(int argc, char** argv) {
     corpus.documents = 4;
     corpus.vocabulary = variables;
     const auto docs = workload::make_bag_of_words(corpus);
-    engine::FpgaSimEngine accelerator(module, *backend);
+    engine::FpgaSimEngine accelerator(
+        spnhbm::model::ModelArtifact::wrap(model.name, module, *backend));
     const auto results = accelerator.infer(docs.to_bytes());
     std::printf("\njoint probabilities of %zu real documents:\n",
                 results.size());

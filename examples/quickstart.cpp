@@ -35,7 +35,8 @@ int main() {
   //    composition (PE -> SmartConnect -> dedicated HBM channel) and the
   //    §IV-B host runtime. Swapping in engine::CpuEngine or
   //    engine::GpuModelEngine here changes the backend, nothing else.
-  engine::FpgaSimEngine accelerator(module, *backend);
+  engine::FpgaSimEngine accelerator(
+      spnhbm::model::ModelArtifact::wrap("quickstart", module, *backend));
   std::printf("engine: %s\n", accelerator.capabilities().name.c_str());
 
   // 4. Run real samples through the accelerator (copy -> launch -> read

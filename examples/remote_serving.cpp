@@ -31,13 +31,13 @@ int main() {
 
   // The served model, behind the usual batching server.
   const auto model = workload::make_nips_model(variables);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
+  const engine::ModelHandle nips = spnhbm::model::ModelArtifact::compile(
+      model.name, "1", model.spn, arith::make_float64_backend());
   engine::ServerConfig config;
   config.batch_samples = 64;
   config.max_latency = std::chrono::microseconds(300);
   engine::InferenceServer server(config);
-  server.register_engine(std::make_shared<engine::CpuEngine>(module));
+  server.register_engine(std::make_shared<engine::CpuEngine>(nips));
   server.start();
 
   // The TCP front door, on an ephemeral loopback port.

@@ -30,8 +30,8 @@ int main() {
   // The served model: LearnSPN on the synthetic NIPS corpus, compiled once
   // in float64 so all three backends produce comparable probabilities.
   const auto model = workload::make_nips_model(variables);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
+  const engine::ModelHandle nips = spnhbm::model::ModelArtifact::compile(
+      model.name, "1", model.spn, arith::make_float64_backend());
 
   engine::ServerConfig config;
   config.batch_samples = 256;
@@ -39,10 +39,9 @@ int main() {
   config.max_queue_samples = 1 << 14;
   config.policy = engine::DispatchPolicy::kLeastLoaded;
   engine::InferenceServer server(config);
-  server.register_engine(
-      std::make_shared<engine::FpgaSimEngine>(module, *backend));
-  server.register_engine(std::make_shared<engine::CpuEngine>(module));
-  server.register_engine(std::make_shared<engine::GpuModelEngine>(module));
+  server.register_engine(std::make_shared<engine::FpgaSimEngine>(nips));
+  server.register_engine(std::make_shared<engine::CpuEngine>(nips));
+  server.register_engine(std::make_shared<engine::GpuModelEngine>(nips));
   server.start();
 
   // Client side: 200 requests of 1..32 in-distribution documents each.

@@ -58,7 +58,9 @@ int main() {
     engine::FpgaEngineConfig hbm_config;
     hbm_config.pe_count = 0;  // largest placeable
     hbm_config.compute_results = false;
-    engine::FpgaSimEngine hbm_engine(module, *backend, hbm_config);
+    engine::FpgaSimEngine hbm_engine(
+        spnhbm::model::ModelArtifact::wrap(model.name, module, *backend),
+        hbm_config);
     const int pes = hbm_engine.pe_count();
     const double hbm = hbm_engine.measure_throughput(
         static_cast<std::uint64_t>(pes) * 1'500'000);

@@ -29,10 +29,9 @@ int main() {
   const std::size_t documents = 64;
 
   const auto model = workload::make_nips_model(variables);
-  const auto backend = arith::make_lns_backend(arith::paper_lns_format());
-  const auto module = compiler::compile_spn(model.spn, *backend);
-
-  engine::FpgaSimEngine rt(module, *backend);
+  engine::FpgaSimEngine rt(spnhbm::model::ModelArtifact::compile(
+      model.name, "1", model.spn,
+      arith::make_lns_backend(arith::paper_lns_format())));
 
   // In-domain: fresh documents from the same corpus distribution.
   workload::CorpusConfig corpus;

@@ -13,7 +13,7 @@
 //   * sparse samples are densified per lane group from the decoded CSR,
 //     so dense and sparse share one path.
 // A program runs on the calling thread; callers that want several cores
-// split the batch themselves (CpuInferenceEngine does, on its own pool).
+// split the batch themselves (engine::CpuEngine does, on its own pool).
 // Every lookup keeps the oracle's range check: a feature byte outside its
 // table throws "feature byte outside lookup table".
 #pragma once

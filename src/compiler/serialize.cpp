@@ -1,23 +1,20 @@
 #include "spnhbm/compiler/serialize.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
+
+#include "spnhbm/util/strings.hpp"
 
 namespace spnhbm::compiler {
 
 namespace {
 
 constexpr std::uint32_t kMagic = 0x53504E44;  // "SPND"
-// v1: joint-only (no query field). v2 inserts a query-kind word and the
-// default-evidence vector after the version word. Joint modules with
-// derived (all-zero) default evidence still save as v1, so every design
-// artifact and content hash from before the query-generic datapath is
-// byte-identical — and v1 files load forever.
-constexpr std::uint32_t kVersionJoint = 1;
-constexpr std::uint32_t kVersionQuery = 2;
+// The one layout: after the version word come the query-kind word and the
+// default-evidence vector, then the datapath.
+constexpr std::uint32_t kVersion = 2;
 
 void write_u32(std::ostream& out, std::uint32_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -51,19 +48,12 @@ double read_f64(std::istream& in) {
 }  // namespace
 
 void save_design(const DatapathModule& module, std::ostream& out) {
-  const bool joint_defaults =
-      module.query() == QueryKind::kJoint &&
-      std::all_of(module.default_evidence().begin(),
-                  module.default_evidence().end(),
-                  [](std::uint8_t byte) { return byte == 0; });
   write_u32(out, kMagic);
-  write_u32(out, joint_defaults ? kVersionJoint : kVersionQuery);
-  if (!joint_defaults) {
-    write_u32(out, static_cast<std::uint32_t>(module.query()));
-    write_u64(out, module.default_evidence().size());
-    out.write(reinterpret_cast<const char*>(module.default_evidence().data()),
-              static_cast<std::streamsize>(module.default_evidence().size()));
-  }
+  write_u32(out, kVersion);
+  write_u32(out, static_cast<std::uint32_t>(module.query()));
+  write_u64(out, module.default_evidence().size());
+  out.write(reinterpret_cast<const char*>(module.default_evidence().data()),
+            static_cast<std::streamsize>(module.default_evidence().size()));
   write_u64(out, module.input_features());
   write_u32(out, module.pipeline_depth());
   write_u32(out, module.result_op());
@@ -96,28 +86,26 @@ DatapathModule load_design(std::istream& in) {
     throw ParseError("not a spnhbm design file (bad magic)");
   }
   const std::uint32_t version = read_u32(in);
-  if (version != kVersionJoint && version != kVersionQuery) {
-    throw ParseError("unsupported design file version");
+  if (version != kVersion) {
+    throw ParseError(strformat("unsupported design file version %u (this "
+                               "build reads only version %u)",
+                               version, kVersion));
   }
-  QueryKind query = QueryKind::kJoint;
-  std::vector<std::uint8_t> default_evidence;
-  if (version == kVersionQuery) {
-    const std::uint32_t raw_query = read_u32(in);
-    if (raw_query > static_cast<std::uint32_t>(QueryKind::kMpe)) {
-      throw ParseError("invalid query kind in design file");
-    }
-    query = static_cast<QueryKind>(raw_query);
-    const std::uint64_t evidence_bytes = read_u64(in);
-    if (evidence_bytes > 65536) {
-      throw ParseError("implausible default-evidence size");
-    }
-    default_evidence.resize(evidence_bytes);
-    in.read(reinterpret_cast<char*>(default_evidence.data()),
-            static_cast<std::streamsize>(evidence_bytes));
-    if (!in) throw ParseError("truncated design file (default evidence)");
+  const std::uint32_t raw_query = read_u32(in);
+  if (raw_query > static_cast<std::uint32_t>(QueryKind::kMpe)) {
+    throw ParseError("invalid query kind in design file");
   }
+  const auto query = static_cast<QueryKind>(raw_query);
+  const std::uint64_t evidence_bytes = read_u64(in);
+  if (evidence_bytes > 65536) {
+    throw ParseError("implausible default-evidence size");
+  }
+  std::vector<std::uint8_t> default_evidence(evidence_bytes);
+  in.read(reinterpret_cast<char*>(default_evidence.data()),
+          static_cast<std::streamsize>(evidence_bytes));
+  if (!in) throw ParseError("truncated design file (default evidence)");
   const std::uint64_t features = read_u64(in);
-  if (version == kVersionQuery && default_evidence.size() != features) {
+  if (default_evidence.size() != features) {
     throw ParseError("default evidence does not span the input features");
   }
   const std::uint32_t pipeline_depth = read_u32(in);
@@ -130,9 +118,7 @@ DatapathModule load_design(std::istream& in) {
   for (std::uint64_t i = 0; i < op_count; ++i) {
     DatapathOp op;
     const std::uint32_t kind = read_u32(in);
-    // v1 predates the max op; a v1 file claiming one is corrupt.
-    const auto max_kind = version >= kVersionQuery ? OpKind::kMax : OpKind::kAdd;
-    if (kind > static_cast<std::uint32_t>(max_kind)) {
+    if (kind > static_cast<std::uint32_t>(OpKind::kMax)) {
       throw ParseError("invalid op kind in design file");
     }
     op.kind = static_cast<OpKind>(kind);

@@ -1,10 +1,14 @@
 #include "spnhbm/engine/cpu_engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <utility>
+#include <vector>
 
+#include "spnhbm/compiler/op_program.hpp"
 #include "spnhbm/compiler/sparse_evidence.hpp"
+#include "spnhbm/util/rng.hpp"
 #include "spnhbm/util/strings.hpp"
 
 namespace spnhbm::engine {
@@ -17,21 +21,15 @@ std::size_t resolve_threads(std::size_t requested) {
 }  // namespace
 
 CpuEngine::CpuEngine(ModelHandle model, CpuEngineConfig config)
-    : model_(std::move(model)), config_(config) {
+    : model_(std::move(model)),
+      f64_(arith::make_float64_backend()),
+      pool_(resolve_threads(config.threads)) {
   SPNHBM_REQUIRE(model_ != nullptr, "CpuEngine requires a model");
-  native_ = std::make_unique<baselines::CpuInferenceEngine>(
-      model_->module(), resolve_threads(config_.threads));
   refresh_capabilities();
 }
 
-CpuEngine::CpuEngine(const compiler::DatapathModule& module,
-                     CpuEngineConfig config)
-    : CpuEngine(model::ModelArtifact::wrap("default", module,
-                                           arith::make_float64_backend()),
-                config) {}
-
 void CpuEngine::refresh_capabilities() {
-  capabilities_.name = strformat("cpu-native x%zu", native_->threads());
+  capabilities_.name = strformat("cpu-native x%zu", threads());
   capabilities_.input_features = model_->module().input_features();
   capabilities_.functional = true;
   // Unknown until measured: the host's real speed depends on the machine.
@@ -44,25 +42,41 @@ void CpuEngine::refresh_capabilities() {
 void CpuEngine::activate(ModelHandle next) {
   SPNHBM_REQUIRE(next != nullptr, "activate requires a model");
   SPNHBM_REQUIRE(pending_.empty(), "activate with batches in flight");
-  auto native = std::make_unique<baselines::CpuInferenceEngine>(
-      next->module(), resolve_threads(config_.threads));
-  native_ = std::move(native);
   model_ = std::move(next);
   refresh_capabilities();
   stats_.reconfigurations += 1;  // host-side swap: no device time charged
+}
+
+double CpuEngine::evaluate(std::span<const std::uint8_t> samples,
+                           std::span<double> results) {
+  const auto start = std::chrono::steady_clock::now();
+  if (!results.empty()) {
+    const std::size_t features = capabilities_.input_features;
+    const compiler::OpProgram& program = model_->module().program(*f64_);
+    // Chunk on lane boundaries so lane groups never straddle threads.
+    constexpr std::size_t kLanes = compiler::OpProgram::kLanes;
+    const std::size_t lane_groups = (results.size() + kLanes - 1) / kLanes;
+    pool_.parallel_for(lane_groups, [&](std::size_t group_begin,
+                                        std::size_t group_end) {
+      const std::size_t begin = group_begin * kLanes;
+      const std::size_t end = std::min(group_end * kLanes, results.size());
+      program.evaluate(
+          samples.subspan(begin * features, (end - begin) * features),
+          results.subspan(begin, end - begin));
+    });
+  }
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 BatchHandle CpuEngine::submit(std::span<const std::uint8_t> samples,
                               std::span<double> results) {
   const std::size_t count = check_batch(samples, results);
   const BatchHandle handle = next_handle_++;
-  pending_.emplace(handle,
-                   std::async(std::launch::async, [this, samples, results] {
-                     const auto start = std::chrono::steady_clock::now();
-                     native_->infer(samples, results);
-                     return std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                         .count();
+  pending_.emplace(handle, std::async(std::launch::async, [this, samples,
+                                                           results] {
+                     return evaluate(samples, results);
                    }));
   stats_.batches += 1;
   stats_.samples += count;
@@ -82,11 +96,7 @@ BatchHandle CpuEngine::submit_sparse(std::span<const std::uint8_t> stream,
   const BatchHandle handle = next_handle_++;
   pending_.emplace(handle,
                    std::async(std::launch::async, [this, rows, results] {
-                     const auto start = std::chrono::steady_clock::now();
-                     native_->infer(*rows, results);
-                     return std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                         .count();
+                     return evaluate(*rows, results);
                    }));
   stats_.batches += 1;
   stats_.samples += sample_count;
@@ -104,12 +114,25 @@ void CpuEngine::wait(BatchHandle handle) {
 }
 
 double CpuEngine::measure_throughput(std::uint64_t sample_count) {
-  const double rate =
-      native_->measure_throughput(static_cast<std::size_t>(sample_count));
+  const auto& module = model_->module();
+  const std::size_t features = module.input_features();
+  Rng rng(1);
+  std::vector<std::uint8_t> samples(sample_count * features);
+  // Bytes every lookup table covers (the lookup range check would throw
+  // on a byte past a narrow input domain).
+  std::size_t domain = 256;
+  for (const auto& table : module.tables()) {
+    domain = std::min(domain, table.probability_by_byte.size());
+  }
+  for (auto& byte : samples) {
+    byte = static_cast<std::uint8_t>(rng.next_below(domain));
+  }
+  std::vector<double> results(sample_count);
+  const double seconds = evaluate(samples, results);
   stats_.batches += 1;
   stats_.samples += sample_count;
-  stats_.busy_seconds += static_cast<double>(sample_count) / rate;
-  return rate;
+  stats_.busy_seconds += seconds;
+  return static_cast<double>(sample_count) / seconds;
 }
 
 }  // namespace spnhbm::engine

@@ -110,12 +110,6 @@ FpgaSimEngine::FpgaSimEngine(ModelHandle model, FpgaEngineConfig config)
   refresh_capabilities();
 }
 
-FpgaSimEngine::FpgaSimEngine(const compiler::DatapathModule& module,
-                             const arith::ArithBackend& backend,
-                             FpgaEngineConfig config)
-    : FpgaSimEngine(model::ModelArtifact::wrap("default", module, backend),
-                    config) {}
-
 void FpgaSimEngine::refresh_capabilities() {
   capabilities_.name = strformat(
       "fpga-sim/%s x%zu",

@@ -15,12 +15,6 @@ GpuModelEngine::GpuModelEngine(ModelHandle artifact, gpu::GpuModelConfig config)
   refresh_capabilities();
 }
 
-GpuModelEngine::GpuModelEngine(const compiler::DatapathModule& module,
-                               gpu::GpuModelConfig config)
-    : GpuModelEngine(model::ModelArtifact::wrap("default", module,
-                                                arith::make_float64_backend()),
-                     std::move(config)) {}
-
 void GpuModelEngine::refresh_capabilities() {
   capabilities_.name = "gpu-model/" + model_.config().name;
   capabilities_.input_features = artifact_->module().input_features();

@@ -79,12 +79,6 @@ class FpgaSimEngine : public InferenceEngine {
   /// Composes the design; throws PlacementError if it does not fit.
   explicit FpgaSimEngine(ModelHandle model, FpgaEngineConfig config = {});
 
-  /// Legacy single-model constructor: wraps `module`/`backend` into an
-  /// anonymous artifact ("default@0"). Both must outlive the engine.
-  FpgaSimEngine(const compiler::DatapathModule& module,
-                const arith::ArithBackend& backend,
-                FpgaEngineConfig config = {});
-
   const EngineCapabilities& capabilities() const override {
     return capabilities_;
   }

@@ -19,11 +19,6 @@ class GpuModelEngine : public InferenceEngine {
  public:
   explicit GpuModelEngine(ModelHandle artifact, gpu::GpuModelConfig config = {});
 
-  /// Legacy single-model constructor: wraps `module` into an anonymous
-  /// artifact ("default@0"). `module` must outlive the engine.
-  explicit GpuModelEngine(const compiler::DatapathModule& module,
-                          gpu::GpuModelConfig config = {});
-
   const EngineCapabilities& capabilities() const override {
     return capabilities_;
   }

@@ -50,10 +50,9 @@ class ModelArtifact {
                                std::unique_ptr<arith::ArithBackend> backend,
                                const compiler::CompileOptions& options = {});
 
-  /// Wraps an already-compiled module into an artifact for the legacy
-  /// single-model engine constructors. The backend is *borrowed*: the
-  /// caller guarantees it outlives the artifact (the same contract the
-  /// legacy constructors already imposed). Version is "0".
+  /// Wraps an already-compiled module (copied) into an artifact. The
+  /// backend is *borrowed*: the caller guarantees it outlives the
+  /// artifact. Version is "0".
   static ModelHandle wrap(std::string name,
                           const compiler::DatapathModule& module,
                           const arith::ArithBackend& backend);

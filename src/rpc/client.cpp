@@ -9,6 +9,26 @@
 
 namespace spnhbm::rpc {
 
+namespace {
+
+/// Explicit sample count of a dense payload: its rows at the lane's
+/// advertised width. A ref or payload size the HELLO cannot resolve into
+/// whole rows gets 1, so the request still reaches the server and fails
+/// there with the typed UNKNOWN_MODEL / INVALID_REQUEST status.
+std::uint32_t dense_sample_count(const ServerInfo& info,
+                                 const std::string& ref, std::size_t bytes) {
+  std::uint32_t features = 0;
+  try {
+    features = info.input_features(ref);
+  } catch (const RpcError&) {
+    return 1;
+  }
+  if (features == 0 || bytes == 0 || bytes % features != 0) return 1;
+  return static_cast<std::uint32_t>(bytes / features);
+}
+
+}  // namespace
+
 std::uint32_t ServerInfo::input_features(const std::string& ref) const {
   const ModelInfo* match = nullptr;
   // Advertised ids are lane ids — "name@version" plus an optional
@@ -32,10 +52,7 @@ std::uint32_t ServerInfo::input_features(const std::string& ref) const {
   return match->input_features;
 }
 
-std::unique_ptr<RpcClient> RpcClient::connect(const std::string& host,
-                                              std::uint16_t port) {
-  Socket socket = Socket::connect(host, port);
-  // The hello is the first frame on every connection.
+HelloFrame receive_hello(Socket& socket) {
   std::uint8_t header[kFrameHeaderBytes];
   if (!socket.recv_exact(header, sizeof(header))) {
     throw RpcError("server closed the connection before the handshake");
@@ -50,16 +67,23 @@ std::unique_ptr<RpcClient> RpcClient::connect(const std::string& host,
   if (body_length > 0 && !socket.recv_exact(body.data(), body_length)) {
     throw RpcError("server closed the connection mid-handshake");
   }
-  const HelloFrame hello = decode_hello(body);
-  if (hello.protocol_version > kProtocolVersion) {
-    throw RpcError(strformat(
-        "server speaks protocol v%u, this client understands up to v%u",
+  HelloFrame hello = decode_hello(body);
+  if (hello.protocol_version != kProtocolVersion) {
+    throw ProtocolVersionError(strformat(
+        "server speaks protocol v%u, this client speaks only v%u",
         hello.protocol_version, kProtocolVersion));
   }
+  return hello;
+}
+
+std::unique_ptr<RpcClient> RpcClient::connect(const std::string& host,
+                                              std::uint16_t port) {
+  Socket socket = Socket::connect(host, port);
+  HelloFrame hello = receive_hello(socket);
   ServerInfo info;
   info.protocol_version = hello.protocol_version;
-  info.build_version = hello.build_version;
-  info.models = hello.models;
+  info.build_version = std::move(hello.build_version);
+  info.models = std::move(hello.models);
   return std::unique_ptr<RpcClient>(
       new RpcClient(std::move(socket), std::move(info)));
 }
@@ -81,60 +105,31 @@ RpcClient::SentRequest RpcClient::send_request(
     const std::string& model, std::vector<std::uint8_t> samples,
     std::uint64_t deadline_us, std::uint64_t idempotency_key,
     const QueryOptions& query) {
-  // Dense joint requests keep travelling as plain kRequest frames —
-  // byte-identical to a v3 client — so only genuinely query-generic
-  // traffic needs the v4 frame (and a v4 server).
-  const bool request2 = query.request2();
-  if (request2 && info_.protocol_version < kQueryProtocolVersion) {
-    throw RpcError(strformat(
-        "server speaks protocol v%u; marginal/MPE/sparse requests need v%u",
-        info_.protocol_version, kQueryProtocolVersion));
-  }
   RequestFrame request;
   request.model = model.empty() && !info_.models.empty()
                       ? info_.models.front().id
                       : model;
   request.deadline_us = deadline_us;
-  request.samples = std::move(samples);
-  if (request2) {
-    request.query_kind = query.query_kind;
-    request.encoding = query.encoding;
-    request.sample_count = query.sample_count;
-    if (request.sample_count == 0) {
-      if (query.encoding == kEncodingSparse) {
-        throw RpcError("sparse evidence needs an explicit sample count");
-      }
-      // Dense: derive the explicit count from the advertised input width.
-      const std::uint32_t features = info_.input_features(request.model);
-      if (features == 0 || request.samples.size() % features != 0) {
-        throw RpcError(strformat(
-            "payload of %zu bytes is not a positive multiple of model "
-            "'%s's %u input features",
-            request.samples.size(), request.model.c_str(), features));
-      }
-      request.sample_count =
-          static_cast<std::uint32_t>(request.samples.size() / features);
+  request.encoding = query.encoding;
+  request.sample_count = query.sample_count;
+  if (request.sample_count == 0) {
+    if (query.encoding == kEncodingSparse) {
+      throw RpcError("sparse evidence needs an explicit sample count");
     }
+    request.sample_count =
+        dense_sample_count(info_, request.model, samples.size());
   }
-  // Idempotency keys ride the v3 trailing block; an older peer would
-  // reject the longer body, so the key is dropped (the retry is then
-  // simply re-executed — correct, just not deduplicated).
-  if (info_.protocol_version >= kIdempotencyProtocolVersion) {
-    request.idempotency_key = idempotency_key;
-  }
-  // Mint a trace context for head-sampled requests — only when tracing is
-  // on and the server speaks a protocol that carries the trace block (an
-  // old peer would reject the longer REQUEST body).
-  if (track_ != 0 && info_.protocol_version >= kTraceProtocolVersion &&
-      telemetry::head_sampler().sample()) {
+  request.samples = std::move(samples);
+  request.idempotency_key = idempotency_key;
+  // Mint a trace context for head-sampled requests when tracing is on.
+  if (track_ != 0 && telemetry::head_sampler().sample()) {
     request.trace.trace_id = telemetry::mint_trace_id();
   }
   std::lock_guard<std::mutex> lock(send_mutex_);
   if (closed_) throw RpcError("client is closed");
   request.request_id = next_request_id_++;
   const telemetry::Tracer::WallTime send_start = telemetry::Tracer::wall_now();
-  const std::vector<std::uint8_t> wire = encode_frame(
-      request2 ? encode_request2(request) : encode_request(request));
+  const std::vector<std::uint8_t> wire = encode_frame(encode_request(request));
   socket_.send_all(wire.data(), wire.size());
   if (request.trace.valid()) {
     auto& tracer = telemetry::tracer();

@@ -3,7 +3,7 @@
 // connect() performs the TCP connect and consumes the server's hello
 // handshake, so server_info() (protocol version, build string, loaded
 // models) is available before the first request. The client refuses to
-// talk to a server speaking a newer protocol than it understands.
+// talk to a server speaking any protocol version but its own.
 //
 // Requests are fully pipelined: submit() assigns a request id, writes the
 // frame (serialised by a send mutex — safe from any thread) and returns a
@@ -45,6 +45,13 @@ class RpcStatusError : public Error {
   Status status_;
 };
 
+/// The server's HELLO advertised a protocol version other than
+/// kProtocolVersion. Terminal: redialing the same peer cannot help.
+class ProtocolVersionError : public RpcError {
+ public:
+  using RpcError::RpcError;
+};
+
 /// Server identity learned from the hello handshake.
 struct ServerInfo {
   std::uint16_t protocol_version = 0;
@@ -56,16 +63,11 @@ struct ServerInfo {
   std::uint32_t input_features(const std::string& ref) const;
 };
 
-/// Query-generic request options (wire v4). The defaults describe the
-/// classic dense joint request, which always travels as a plain kRequest
-/// frame — byte-identical to a v3 client on the wire. Any non-default
-/// field upgrades the request to a kRequest2 frame, which requires a
-/// server whose HELLO advertised >= kQueryProtocolVersion; against an
-/// older peer the submit throws RpcError client-side instead of sending
-/// a frame the server cannot parse.
+/// Payload options of a request. The defaults describe dense sample rows
+/// whose count the client derives from the lane's advertised input width.
+/// The query kind is not an option: it is part of the lane reference
+/// ("m@1#marginal", see engine::query_lane_suffix).
 struct QueryOptions {
-  /// 0 joint, 1 marginal, 2 MPE (compiler::QueryKind values).
-  std::uint8_t query_kind = 0;
   /// kEncodingDense (sample rows) or kEncodingSparse (CSR evidence
   /// stream, see compiler/sparse_evidence.hpp).
   std::uint8_t encoding = kEncodingDense;
@@ -73,12 +75,13 @@ struct QueryOptions {
   /// they are not self-describing; derived from the payload size and the
   /// advertised input width when left 0 on dense ones.
   std::uint32_t sample_count = 0;
-
-  /// True when this request must travel as a kRequest2 frame.
-  bool request2() const {
-    return query_kind != 0 || encoding != kEncodingDense;
-  }
 };
+
+/// Reads the HELLO that opens every connection and checks its protocol
+/// version: RpcError when the peer closes first, WireError on a malformed
+/// frame, ProtocolVersionError on any version but kProtocolVersion. (The
+/// admin plane, which speaks the wire without an RpcClient, uses it too.)
+HelloFrame receive_hello(Socket& socket);
 
 /// Completion callback: status, results (kOk only), error text (other
 /// statuses). Invoked on the client's reader thread — keep it cheap.
@@ -87,7 +90,9 @@ using ResponseCallback = std::function<void(
 
 class RpcClient {
  public:
-  /// Connects and blocks until the hello handshake arrives.
+  /// Connects and blocks until the hello handshake arrives. Throws
+  /// ProtocolVersionError when the server speaks another protocol
+  /// version.
   static std::unique_ptr<RpcClient> connect(const std::string& host,
                                             std::uint16_t port);
 
@@ -97,14 +102,12 @@ class RpcClient {
 
   const ServerInfo& server_info() const { return info_; }
 
-  /// Pipelined asynchronous request. `model` empty = the server's first
-  /// advertised model. `deadline_us` 0 = no per-request deadline. The
-  /// future carries one probability per sample row, or RpcStatusError /
-  /// RpcError. A non-zero `idempotency_key` (v3 servers only; silently
-  /// dropped for older peers) marks retries of one logical request so
-  /// the server can deduplicate them. Non-default `query` options select
-  /// marginal/MPE inference or sparse evidence (v4 servers only; throws
-  /// RpcError against an older peer).
+  /// Pipelined asynchronous request. `model` is a lane reference; empty =
+  /// the server's first advertised lane. `deadline_us` 0 = no
+  /// per-request deadline. The future carries one probability per sample
+  /// row, or RpcStatusError / RpcError. A non-zero `idempotency_key`
+  /// marks retries of one logical request so the server can deduplicate
+  /// them. `query` selects sparse evidence.
   std::future<std::vector<double>> submit(const std::string& model,
                                           std::vector<std::uint8_t> samples,
                                           std::uint64_t deadline_us = 0,

@@ -56,8 +56,8 @@ struct ModelTraffic {
   /// requests. Must be non-empty, each a multiple of the model's width
   /// (or valid CSR sparse streams when `query` selects them).
   std::vector<std::vector<std::uint8_t>> payloads;
-  /// Query kind + payload encoding for this traffic share (wire v4);
-  /// default = classic dense joint requests.
+  /// Payload encoding for this traffic share; default = dense rows. The
+  /// query kind is part of `model` (a suffixed lane ref).
   QueryOptions query;
 };
 
@@ -70,9 +70,8 @@ struct LoadgenConfig {
   /// Request payloads, cycled round-robin across the run. Must be
   /// non-empty and each payload a multiple of the model's input width.
   std::vector<std::vector<std::uint8_t>> payloads;
-  /// Query kind + payload encoding sent with every single-model request
-  /// (wire v4); ignored when `traffic` is non-empty (each ModelTraffic
-  /// carries its own).
+  /// Payload encoding sent with every single-model request; ignored when
+  /// `traffic` is non-empty (each ModelTraffic carries its own).
   QueryOptions query;
   /// Mixed-model traffic (the fleet-serving path): when non-empty,
   /// `model`/`payloads` above are ignored and every request draws its

@@ -141,10 +141,10 @@ class ResilientClient {
   /// Sends one logical request; retries ride the same idempotency key.
   /// The callback fires exactly once with the final outcome (any thread:
   /// the caller's, the reader's, or the retry thread's). Throws RpcError
-  /// only after close(). Non-default `query` options select marginal/MPE
-  /// inference or sparse evidence (wire v4) and fold into the
-  /// idempotency key, so two queries of different kinds over identical
-  /// payloads never collide in the server's dedup cache.
+  /// only after close(). The lane ref (query kind included) and the
+  /// `query` encoding fold into the idempotency key, so two queries of
+  /// different kinds over identical payloads never collide in the
+  /// server's dedup cache.
   void submit_with_callback(const std::string& model,
                             std::vector<std::uint8_t> samples,
                             std::uint64_t deadline_us,
@@ -203,12 +203,13 @@ class ResilientClient {
   /// one died. The returned shared_ptr keeps the connection alive while
   /// the caller sends on it outside the lock (a concurrent reconnect
   /// just drops the map entry, never the object under a sender). Throws
-  /// RpcGiveUpError(kConnectFailed) on dial exhaustion and RpcError
-  /// after close().
+  /// RpcGiveUpError(kConnectFailed) on dial exhaustion,
+  /// RpcGiveUpError(kNonRetryable) when the server speaks another
+  /// protocol version, and RpcError after close().
   std::shared_ptr<RpcClient> acquire_client(
       std::unique_lock<std::mutex>& lock);
   /// One dial episode; throws RpcGiveUpError when max_connect_attempts
-  /// ran out.
+  /// ran out or the peer's protocol version differs.
   std::shared_ptr<RpcClient> dial_with_backoff();
 
   void send_attempt(RequestPtr request);

@@ -26,7 +26,7 @@
 //   accepted = completed + failed
 // so no request can vanish between the socket and the engine fleet.
 //
-// Idempotency (wire v3): a REQUEST carrying a non-zero idempotency key
+// Idempotency: a REQUEST carrying a non-zero idempotency key
 // is remembered in a bounded cache. When the same key arrives again —
 // a self-healing client retrying after a lost connection — the server
 // answers from the cache (or with a retryable OVERLOADED while the
@@ -226,13 +226,11 @@ class RpcServer {
   void accept_loop();
   void reader_loop(Connection& connection);
   void writer_loop(Connection& connection);
-  /// Admission + submit; returns the outbox entry for the request.
-  /// `request2` marks a v4 kRequest2 frame: the query-kind byte folds
-  /// into the lane address (model ref + suffix), the explicit sample
-  /// count is cross-checked (dense) or trusted to the sparse decoder,
-  /// and a sparse payload routes through try_submit_sparse.
-  Outgoing handle_request(Connection& connection, RequestFrame request,
-                          bool request2 = false);
+  /// Admission + submit; returns the outbox entry for the request. The
+  /// explicit sample count is cross-checked (dense) or trusted to the
+  /// sparse decoder, and a sparse payload routes through
+  /// try_submit_sparse.
+  Outgoing handle_request(Connection& connection, RequestFrame request);
   /// Snapshot of the live plane, pre-encoded as an ADMIN reply.
   Outgoing handle_admin();
   ResponseFrame resolve(Outgoing& outgoing);

@@ -13,54 +13,44 @@
 //              list of loaded models (id + input width), so a client can
 //              validate payload widths without a round trip.
 //   kRequest   client -> server: caller-chosen request id (echoed in the
-//              response), model reference ("name@version" or unambiguous
-//              bare name), optional per-request deadline in microseconds
-//              (0 = none), and the sample payload (rows of the model's
-//              input_features bytes).
+//              response), lane reference ("name@version", optionally
+//              suffixed with a query kind as in "m@1#marginal", or an
+//              unambiguous bare name), per-request deadline in
+//              microseconds (0 = none), payload encoding byte (0 dense
+//              sample rows, 1 CSR sparse evidence stream), explicit u32
+//              sample count, the payload, and three trailing u64 fields:
+//              trace id, parent span id and idempotency key (0 = absent).
 //   kResponse  server -> client: echoed request id, a Status byte, and —
 //              on kOk — one f64 probability per sample row, otherwise a
 //              human-readable error message.
 //   kShutdown  client -> server: asks the serving process to drain and
 //              exit (the loopback admin path used by CI smoke runs).
-//   kAdmin     client -> server (v2): live-introspection poll with an
-//              empty body; answered immediately with kAdminReply, out of
-//              band of the inference stream.
-//   kAdminReply server -> client (v2): build/version info plus text
-//              sections — Prometheus metrics exposition, per-engine
-//              health states, the fleet replica map, and the tail
-//              sampler's slowest-request breakdowns.
+//   kAdmin     client -> server: live-introspection poll with an empty
+//              body; answered immediately with kAdminReply, out of band
+//              of the inference stream.
+//   kAdminReply server -> client: build/version info plus text sections
+//              — Prometheus metrics exposition, per-engine health
+//              states, the fleet replica map, and the tail sampler's
+//              slowest-request breakdowns.
 //
 // Strings are u16 length + bytes; payloads and long text sections are
 // u32 length + bytes. Frame bodies are capped at kMaxBodyBytes — a peer
 // announcing more is treated as a protocol violation, not an allocation
 // request.
 //
-// Version negotiation: the HELLO layout is frozen. A v2 REQUEST may
-// append an optional fixed-size trace block (trace id + parent span id)
-// after the sample payload; v1 frames simply omit it, and a v2 client
-// sends it only when the server's HELLO advertised version >= 2, so old
-// and new peers interoperate in both directions. ADMIN frames are
-// likewise only sent to servers that advertised v2.
-//
-// A v3 REQUEST may additionally append a fixed 8-byte idempotency key
-// after the (optional) trace block. The trailing-bytes length alone
-// disambiguates every combination — 0 (neither), 8 (key), 16 (trace),
-// 24 (trace + key) — and any other remainder is a protocol violation.
-// Self-healing clients mint one non-zero key per logical request and
+// Every kRequest has the one fixed layout above, so its body length is
+// fully determined by the lane ref and payload lengths. The query kind
+// travels only in the lane ref: HELLO advertises every served lane under
+// its suffixed id. The sample count is explicit because a sparse payload
+// is not self-describing; dense payloads must agree with it. Self-healing
+// clients mint one non-zero idempotency key per logical request and
 // reuse it across retries, so a server that already accepted the
 // original can answer the retry from its idempotency cache instead of
 // executing (and double-counting) the work.
 //
-// v4 adds kRequest2, the query-generic request frame: after the deadline
-// it carries a query-kind byte (0 joint, 1 marginal, 2 MPE), a payload
-// encoding byte (0 dense rows, 1 CSR sparse evidence stream), and an
-// explicit u32 sample count (dense frames must agree with payload size /
-// input width; sparse payloads are not self-describing without it). The
-// same optional trace/idempotency tail applies. A v4 client keeps
-// sending plain kRequest for dense joint traffic — byte-identical to v3
-// — and sends kRequest2 only when the server's HELLO advertised >= 4;
-// against an older server, marginal/MPE/sparse requests fail client-side
-// with a clear error instead of a protocol violation.
+// Versioning: the HELLO layout is frozen and carries kProtocolVersion.
+// Both ends of the protocol live in this repository, so there is exactly
+// one version: a client refuses a server that advertises any other.
 #pragma once
 
 #include <cstdint>
@@ -72,16 +62,9 @@
 
 namespace spnhbm::rpc {
 
-/// Version of the frame layout described above. Bumped on any change a
-/// v1 peer could not parse; the client refuses to talk to a *newer*
-/// server but serves/accepts every version back to 1.
-inline constexpr std::uint16_t kProtocolVersion = 4;
-/// First version carrying REQUEST trace blocks and ADMIN frames.
-inline constexpr std::uint16_t kTraceProtocolVersion = 2;
-/// First version carrying REQUEST idempotency keys.
-inline constexpr std::uint16_t kIdempotencyProtocolVersion = 3;
-/// First version carrying REQUEST2 frames (query kinds + sparse evidence).
-inline constexpr std::uint16_t kQueryProtocolVersion = 4;
+/// Version of the frame layout described above; bumped on any change to
+/// it. Client and server must agree exactly.
+inline constexpr std::uint16_t kProtocolVersion = 5;
 
 inline constexpr std::uint32_t kFrameMagic = 0x52'4E'50'53;  // "SPNR"
 inline constexpr std::uint32_t kMaxBodyBytes = 64u << 20;
@@ -102,9 +85,6 @@ enum class FrameType : std::uint8_t {
   kShutdown = 4,
   kAdmin = 5,
   kAdminReply = 6,
-  /// v4 query-generic request (query kind + payload encoding + explicit
-  /// sample count); answered with the same kResponse as kRequest.
-  kRequest2 = 7,
 };
 
 /// Response status. kOverloaded and kNoHealthyEngine are *retryable*: the
@@ -138,35 +118,34 @@ struct HelloFrame {
   std::vector<ModelInfo> models;
 };
 
-struct RequestFrame {
-  std::uint64_t request_id = 0;
-  std::string model;
-  /// Relative per-request deadline in microseconds; 0 = none.
-  std::uint64_t deadline_us = 0;
-  std::vector<std::uint8_t> samples;
-  /// Optional (v2) distributed-tracing context. Encoded as a fixed
-  /// 16-byte trailing block only when valid; absent on v1 frames and on
-  /// untraced v2 requests.
-  telemetry::TraceContext trace;
-  /// Optional (v3) idempotency key; 0 = none. Encoded as a fixed 8-byte
-  /// trailing block (after the trace block when both are present) only
-  /// when non-zero. Stable across retries of one logical request.
-  std::uint64_t idempotency_key = 0;
-  // --- v4 kRequest2 fields (defaults describe a plain kRequest) ----------
-  /// Query kind: 0 joint, 1 marginal, 2 MPE. The server folds it into the
-  /// lane address (model id + query-kind suffix).
-  std::uint8_t query_kind = 0;
-  /// Payload encoding: 0 dense sample rows, 1 CSR sparse evidence stream.
-  std::uint8_t encoding = 0;
-  /// Explicit sample count; a sparse payload is not self-describing
-  /// without it, and dense frames must agree with samples.size() / width.
-  /// 0 on plain kRequest frames (the width derives the count).
-  std::uint32_t sample_count = 0;
-};
-
-/// Payload encodings of a kRequest2 frame.
+/// Payload encodings of a kRequest frame.
 inline constexpr std::uint8_t kEncodingDense = 0;
 inline constexpr std::uint8_t kEncodingSparse = 1;
+
+/// Largest per-request deadline a server accepts: one day. Anything above
+/// is answered INVALID_REQUEST, which also keeps the server's deadline
+/// arithmetic on steady_clock far from overflow.
+inline constexpr std::uint64_t kMaxDeadlineUs = 86'400'000'000ull;
+
+struct RequestFrame {
+  std::uint64_t request_id = 0;
+  /// Lane reference: model id plus optional query-kind suffix.
+  std::string model;
+  /// Relative per-request deadline in microseconds; 0 = none. Servers
+  /// reject one above kMaxDeadlineUs.
+  std::uint64_t deadline_us = 0;
+  /// kEncodingDense sample rows or a kEncodingSparse CSR evidence stream.
+  std::uint8_t encoding = kEncodingDense;
+  /// Samples in the payload; never 0. Dense payloads must hold exactly
+  /// this many rows of the lane's input width.
+  std::uint32_t sample_count = 0;
+  std::vector<std::uint8_t> samples;
+  /// Distributed-tracing context; an all-zero (invalid) context = none.
+  telemetry::TraceContext trace;
+  /// Idempotency key; 0 = none. Stable across retries of one logical
+  /// request.
+  std::uint64_t idempotency_key = 0;
+};
 
 struct ResponseFrame {
   std::uint64_t request_id = 0;
@@ -175,7 +154,7 @@ struct ResponseFrame {
   std::string error;            ///< non-kOk only
 };
 
-/// Live-introspection snapshot (v2). The long sections travel as u32
+/// Live-introspection snapshot. The long sections travel as u32
 /// length-prefixed text (the Prometheus exposition of a loaded registry
 /// does not fit the u16 string cap).
 struct AdminReplyFrame {
@@ -201,19 +180,17 @@ std::uint32_t decode_frame_header(
     const std::uint8_t (&header)[kFrameHeaderBytes], FrameType& type);
 
 Frame encode_hello(const HelloFrame& hello);
+/// Throws WireError for an unknown encoding or a zero sample count.
 Frame encode_request(const RequestFrame& request);
-/// v4 query-generic request. Throws WireError for an out-of-range query
-/// kind or encoding, or a zero sample count.
-Frame encode_request2(const RequestFrame& request);
 Frame encode_response(const ResponseFrame& response);
 Frame encode_shutdown();
 Frame encode_admin();
 Frame encode_admin_reply(const AdminReplyFrame& reply);
 
-/// Body decoders; throw WireError on truncated or trailing bytes.
+/// Body decoders; throw WireError on truncated or trailing bytes (and
+/// decode_request on an unknown encoding or a zero sample count).
 HelloFrame decode_hello(const std::vector<std::uint8_t>& body);
 RequestFrame decode_request(const std::vector<std::uint8_t>& body);
-RequestFrame decode_request2(const std::vector<std::uint8_t>& body);
 ResponseFrame decode_response(const std::vector<std::uint8_t>& body);
 AdminReplyFrame decode_admin_reply(const std::vector<std::uint8_t>& body);
 

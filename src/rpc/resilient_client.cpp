@@ -104,6 +104,11 @@ std::shared_ptr<RpcClient> ResilientClient::dial_with_backoff() {
       if (decision) sleep_us(decision.duration_us);
       try {
         return RpcClient::connect(config_.host, config_.port);
+      } catch (const ProtocolVersionError& e) {
+        // Terminal, not transport: redialing cannot upgrade the peer.
+        throw RpcGiveUpError(GiveUpReason::kNonRetryable,
+                             Status::kInvalidRequest,
+                             static_cast<std::uint32_t>(attempt), e.what());
       } catch (const std::exception& e) {
         last_error = e.what();
       }
@@ -175,16 +180,15 @@ void ResilientClient::submit_with_callback(const std::string& model,
   request->deadline_us = deadline_us;
   request->query = query;
   request->callback = std::move(callback);
-  // The key folds in the request content (model + query shape + payload)
+  // The key folds in the request content (lane + encoding + payload)
   // on top of the per-client (label, seed, sequence) stream: two clients
   // that happen to share a label and seed — e.g. two one-shot `infer`
   // processes — must not collide in the server's dedup cache unless they
   // really are retransmitting the same request. Still a pure function of
   // deterministic inputs, so retry schedules reproduce across runs.
-  const std::uint8_t query_shape[2] = {query.query_kind, query.encoding};
   std::uint64_t content = fnv1a(fnv1a(request->model), request->samples.data(),
                                 request->samples.size());
-  content = fnv1a(content, query_shape, sizeof(query_shape));
+  content = fnv1a(content, &query.encoding, sizeof(query.encoding));
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (closed_) throw RpcError("resilient client is closed");
@@ -262,24 +266,11 @@ void ResilientClient::send_attempt(RequestPtr request) {
       std::unique_lock<std::mutex> lock(mutex_);
       client = acquire_client(lock);
     } catch (const RpcGiveUpError& e) {
-      finish(request, Status::kInternalError, {}, e.what(),
-             GiveUpReason::kConnectFailed);
+      finish(request, e.last_status(), {}, e.what(), e.reason());
       return;
     } catch (const std::exception& e) {
       finish(request, Status::kInternalError, {}, e.what(),
              GiveUpReason::kClientClosed);
-      return;
-    }
-    // A query-generic request against a pre-v4 server is terminal, not a
-    // transport failure: no amount of reconnecting upgrades the peer.
-    if (request->query.request2() &&
-        client->server_info().protocol_version < kQueryProtocolVersion) {
-      finish(request, Status::kInvalidRequest, {},
-             strformat("server speaks protocol v%u; marginal/MPE/sparse "
-                       "requests need v%u",
-                       client->server_info().protocol_version,
-                       kQueryProtocolVersion),
-             GiveUpReason::kNonRetryable);
       return;
     }
     // The send happens outside the lock: a slow peer must not stall

@@ -250,10 +250,6 @@ void RpcServer::reader_loop(Connection& connection) {
         case FrameType::kRequest:
           enqueue(connection, handle_request(connection, decode_request(body)));
           break;
-        case FrameType::kRequest2:
-          enqueue(connection, handle_request(connection, decode_request2(body),
-                                             /*request2=*/true));
-          break;
         case FrameType::kAdmin:
           enqueue(connection, handle_admin());
           break;
@@ -300,18 +296,10 @@ RpcServer::Outgoing RpcServer::handle_admin() {
 }
 
 RpcServer::Outgoing RpcServer::handle_request(Connection& connection,
-                                              RequestFrame request,
-                                              bool request2) {
+                                              RequestFrame request) {
   const auto received = SteadyClock::now();
-  // The lane address folds the query-kind byte into the model reference
-  // ("m@1" + kind 1 -> "m@1#marginal"), matching the suffixed lane ids
-  // the serving layer advertises in HELLO.
-  std::string lane_ref = request.model;
-  if (request2 && request.query_kind != 0) {
-    lane_ref += engine::query_lane_suffix(
-        static_cast<compiler::QueryKind>(request.query_kind));
-  }
-  const bool sparse = request2 && request.encoding == kEncodingSparse;
+  const std::string& lane_ref = request.model;
+  const bool sparse = request.encoding == kEncodingSparse;
   Outgoing outgoing;
   outgoing.request_id = request.request_id;
   outgoing.deadline_us = request.deadline_us;
@@ -322,7 +310,7 @@ RpcServer::Outgoing RpcServer::handle_request(Connection& connection,
   ResponseFrame response;
   response.request_id = request.request_id;
 
-  // Idempotency (v3): a key seen before marks a client retry. Answer
+  // Idempotency: a key seen before marks a client retry. Answer
   // from the cache once the original completed OK — or with a retryable
   // status while it is still in flight — so completed work is never
   // re-executed and the frame lands in the `duplicates` book instead of
@@ -369,6 +357,14 @@ RpcServer::Outgoing RpcServer::handle_request(Connection& connection,
            &RpcServerStats::rejected, ctr_rejected_);
     return outgoing;
   }
+  if (request.deadline_us > kMaxDeadlineUs) {
+    reject(Status::kInvalidRequest,
+           strformat("deadline of %llu us exceeds the %llu us cap",
+                     static_cast<unsigned long long>(request.deadline_us),
+                     static_cast<unsigned long long>(kMaxDeadlineUs)),
+           &RpcServerStats::rejected, ctr_rejected_);
+    return outgoing;
+  }
   std::size_t features = 0;
   try {
     features = server_.input_features(lane_ref);
@@ -377,9 +373,9 @@ RpcServer::Outgoing RpcServer::handle_request(Connection& connection,
            ctr_rejected_);
     return outgoing;
   }
-  // 2. Payload validation. Dense payloads must be whole rows (and agree
-  //    with an explicit REQUEST2 sample count); sparse streams are fully
-  //    validated by the serving layer's decoder below.
+  // 2. Payload validation. Dense payloads must be whole rows and agree
+  //    with the explicit sample count; sparse streams are fully validated
+  //    by the serving layer's decoder below.
   if (!sparse) {
     if (request.samples.empty() || request.samples.size() % features != 0) {
       reject(Status::kInvalidRequest,
@@ -389,8 +385,7 @@ RpcServer::Outgoing RpcServer::handle_request(Connection& connection,
              &RpcServerStats::rejected, ctr_rejected_);
       return outgoing;
     }
-    if (request2 &&
-        request.sample_count != request.samples.size() / features) {
+    if (request.sample_count != request.samples.size() / features) {
       reject(Status::kInvalidRequest,
              strformat("explicit sample count %u disagrees with the payload "
                        "(%zu rows of %zu bytes)",
@@ -602,30 +597,34 @@ void RpcServer::writer_loop(Connection& connection) {
       (response.status == Status::kOk ? ctr_completed_ : ctr_failed_)->add(1);
       outgoing.wire = encode_frame(encode_response(response));
     }
+    // The latency books and the tail ring are written before the response
+    // leaves, so a client that reads them once its response arrived finds
+    // its request there. ADMIN replies are not requests: no accounting.
+    if (!outgoing.admin) {
+      const auto now = SteadyClock::now();
+      const double latency_us = us_since(outgoing.received, now);
+      latency_us_->record(latency_us);
+      auto& tracer = telemetry::tracer();
+      if (tracer.enabled() && connection.track != 0) {
+        tracer.complete_wall(connection.track, "request", outgoing.received,
+                             now);
+      }
+      if (outgoing.trace.valid()) {
+        // Server-side flow step across the whole frame-to-response window,
+        // then the record competes for a slot in the tail ring.
+        tracer.flow_wall(connection.track, "request", 't',
+                         outgoing.trace.trace_id, outgoing.received);
+        telemetry::RequestTraceRecord record;
+        record.trace_id = outgoing.trace.trace_id;
+        record.model = outgoing.model;
+        record.status = to_string(status);
+        record.sample_count = outgoing.sample_count;
+        record.latency_us = latency_us;
+        record.spans.push_back({"request", 0.0, latency_us, 0});
+        tail_.offer(std::move(record));
+      }
+    }
     send_frame(outgoing.wire);
-    if (outgoing.admin) continue;  // not a request: no latency accounting
-    const auto now = SteadyClock::now();
-    const double latency_us = us_since(outgoing.received, now);
-    latency_us_->record(latency_us);
-    auto& tracer = telemetry::tracer();
-    if (tracer.enabled() && connection.track != 0) {
-      tracer.complete_wall(connection.track, "request", outgoing.received,
-                           now);
-    }
-    if (outgoing.trace.valid()) {
-      // Server-side flow step across the whole frame-to-response window,
-      // then the record competes for a slot in the tail ring.
-      tracer.flow_wall(connection.track, "request", 't',
-                       outgoing.trace.trace_id, outgoing.received);
-      telemetry::RequestTraceRecord record;
-      record.trace_id = outgoing.trace.trace_id;
-      record.model = outgoing.model;
-      record.status = to_string(status);
-      record.sample_count = outgoing.sample_count;
-      record.latency_us = latency_us;
-      record.spans.push_back({"request", 0.0, latency_us, 0});
-      tail_.offer(std::move(record));
-    }
   }
   {
     std::lock_guard<std::mutex> lock(connection.mutex);

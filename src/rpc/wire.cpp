@@ -69,8 +69,6 @@ class Reader {
     const std::uint8_t* p = take(n);
     return std::string(reinterpret_cast<const char*>(p), n);
   }
-  bool at_end() const { return cursor_ == bytes_.size(); }
-  std::size_t remaining() const { return bytes_.size() - cursor_; }
   void expect_end() const {
     if (cursor_ != bytes_.size()) {
       throw WireError(strformat("%zu trailing byte(s) after frame body",
@@ -97,6 +95,17 @@ class Reader {
   const std::vector<std::uint8_t>& bytes_;
   std::size_t cursor_ = 0;
 };
+
+/// Field checks shared by the request encoder and decoder.
+void check_request_fields(const RequestFrame& request) {
+  if (request.encoding > kEncodingSparse) {
+    throw WireError(strformat("payload encoding %u out of range (0..1)",
+                              request.encoding));
+  }
+  if (request.sample_count == 0) {
+    throw WireError("request needs a non-zero sample count");
+  }
+}
 
 }  // namespace
 
@@ -145,7 +154,7 @@ std::uint32_t decode_frame_header(
   }
   const std::uint8_t raw_type = header[4];
   if (raw_type < static_cast<std::uint8_t>(FrameType::kHello) ||
-      raw_type > static_cast<std::uint8_t>(FrameType::kRequest2)) {
+      raw_type > static_cast<std::uint8_t>(FrameType::kAdminReply)) {
     throw WireError(strformat("unknown frame type %u", raw_type));
   }
   if (length > kMaxBodyBytes) {
@@ -187,20 +196,17 @@ HelloFrame decode_hello(const std::vector<std::uint8_t>& body) {
 }
 
 Frame encode_request(const RequestFrame& request) {
+  check_request_fields(request);
   Writer w;
   w.u64(request.request_id);
   w.str(request.model);
   w.u64(request.deadline_us);
+  w.u8(request.encoding);
+  w.u32(request.sample_count);
   w.blob(request.samples);
-  // Optional v2 trace block: a fixed 16 bytes, appended only for traced
-  // requests so untraced traffic stays byte-identical to v1.
-  if (request.trace.valid()) {
-    w.u64(request.trace.trace_id);
-    w.u64(request.trace.parent_span);
-  }
-  // Optional v3 idempotency key: a fixed 8 bytes after the trace block,
-  // appended only when non-zero so plain traffic stays byte-identical.
-  if (request.idempotency_key != 0) w.u64(request.idempotency_key);
+  w.u64(request.trace.trace_id);
+  w.u64(request.trace.parent_span);
+  w.u64(request.idempotency_key);
   return Frame{FrameType::kRequest, w.take()};
 }
 
@@ -210,78 +216,13 @@ RequestFrame decode_request(const std::vector<std::uint8_t>& body) {
   request.request_id = r.u64();
   request.model = r.str();
   request.deadline_us = r.u64();
-  request.samples = r.blob();
-  // v1 frames (and untraced, keyless v2/v3 frames) end here. The tail
-  // length alone identifies the optional blocks: 8 = idempotency key,
-  // 16 = trace block, 24 = trace block + key. Any other remainder falls
-  // through to expect_end() and is rejected, so a corrupt tail is still
-  // caught.
-  const std::size_t tail = r.remaining();
-  if (tail == 16 || tail == 24) {
-    request.trace.trace_id = r.u64();
-    request.trace.parent_span = r.u64();
-  }
-  if (tail == 8 || tail == 24) request.idempotency_key = r.u64();
-  r.expect_end();
-  return request;
-}
-
-Frame encode_request2(const RequestFrame& request) {
-  if (request.query_kind > 2) {
-    throw WireError(strformat("query kind %u out of range (0..2)",
-                              request.query_kind));
-  }
-  if (request.encoding > kEncodingSparse) {
-    throw WireError(strformat("payload encoding %u out of range (0..1)",
-                              request.encoding));
-  }
-  if (request.sample_count == 0) {
-    throw WireError("REQUEST2 needs an explicit sample count");
-  }
-  Writer w;
-  w.u64(request.request_id);
-  w.str(request.model);
-  w.u64(request.deadline_us);
-  w.u8(request.query_kind);
-  w.u8(request.encoding);
-  w.u32(request.sample_count);
-  w.blob(request.samples);
-  // Same optional tail as kRequest: 16-byte trace block, 8-byte key.
-  if (request.trace.valid()) {
-    w.u64(request.trace.trace_id);
-    w.u64(request.trace.parent_span);
-  }
-  if (request.idempotency_key != 0) w.u64(request.idempotency_key);
-  return Frame{FrameType::kRequest2, w.take()};
-}
-
-RequestFrame decode_request2(const std::vector<std::uint8_t>& body) {
-  Reader r(body);
-  RequestFrame request;
-  request.request_id = r.u64();
-  request.model = r.str();
-  request.deadline_us = r.u64();
-  request.query_kind = r.u8();
-  if (request.query_kind > 2) {
-    throw WireError(strformat("query kind %u out of range (0..2)",
-                              request.query_kind));
-  }
   request.encoding = r.u8();
-  if (request.encoding > kEncodingSparse) {
-    throw WireError(strformat("payload encoding %u out of range (0..1)",
-                              request.encoding));
-  }
   request.sample_count = r.u32();
-  if (request.sample_count == 0) {
-    throw WireError("REQUEST2 needs an explicit sample count");
-  }
+  check_request_fields(request);
   request.samples = r.blob();
-  const std::size_t tail = r.remaining();
-  if (tail == 16 || tail == 24) {
-    request.trace.trace_id = r.u64();
-    request.trace.parent_span = r.u64();
-  }
-  if (tail == 8 || tail == 24) request.idempotency_key = r.u64();
+  request.trace.trace_id = r.u64();
+  request.trace.parent_span = r.u64();
+  request.idempotency_key = r.u64();
   r.expect_end();
   return request;
 }

@@ -4,8 +4,8 @@
 #include <bit>
 #include <cmath>
 
-#include "spnhbm/baselines/cpu_engine.hpp"
 #include "spnhbm/baselines/reference_platforms.hpp"
+#include "spnhbm/engine/cpu_engine.hpp"
 #include "spnhbm/spn/evaluate.hpp"
 #include "spnhbm/spn/random_spn.hpp"
 #include "spnhbm/util/rng.hpp"
@@ -15,18 +15,25 @@
 namespace spnhbm::baselines {
 namespace {
 
+using engine::CpuEngine;
+
+/// `module` as a servable artifact for the native CPU engine.
+engine::ModelHandle wrap(const compiler::DatapathModule& module) {
+  return model::ModelArtifact::wrap("cpu", module,
+                                    arith::make_float64_backend());
+}
+
 TEST(CpuEngine, MatchesReferenceEvaluator) {
   const auto model = workload::make_nips_model(10);
   const auto backend = arith::make_float64_backend();
   const auto module = compiler::compile_spn(model.spn, *backend);
-  CpuInferenceEngine engine(module, 2);
+  CpuEngine engine(wrap(module), {.threads = 2});
 
   Rng rng(3);
   const std::size_t count = 1000;
   std::vector<std::uint8_t> samples(count * 10);
   for (auto& b : samples) b = static_cast<std::uint8_t>(rng.next_below(256));
-  std::vector<double> results(count);
-  engine.infer(samples, results);
+  const std::vector<double> results = engine.infer(samples);
 
   spn::Evaluator reference(model.spn);
   for (std::size_t i = 0; i < count; ++i) {
@@ -98,8 +105,8 @@ TEST(CpuEngine, BitEqualToTheLegacyInterpreterForEveryQuery) {
                  : static_cast<std::uint8_t>(
                        rng.next_below(compiler::kMissingByte));
     }
-    std::vector<double> results(count);
-    CpuInferenceEngine(module, 3).infer(rows, results);
+    const std::vector<double> results =
+        CpuEngine(wrap(module), {.threads = 3}).infer(rows);
     const auto want = legacy_interpreter(module, rows);
     for (std::size_t i = 0; i < count; ++i) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(results[i]),
@@ -113,11 +120,11 @@ TEST(CpuEngine, HandlesNonLaneAlignedBatches) {
   const auto model = workload::make_nips_model(10);
   const auto backend = arith::make_float64_backend();
   const auto module = compiler::compile_spn(model.spn, *backend);
-  CpuInferenceEngine engine(module, 1);
+  CpuEngine engine(wrap(module), {.threads = 1});
   for (const std::size_t count : {1u, 7u, 8u, 9u, 63u}) {
     std::vector<std::uint8_t> samples(count * 10, 5);
     std::vector<double> results(count, -1.0);
-    engine.infer(samples, results);
+    engine.wait(engine.submit(samples, results));
     for (const double r : results) EXPECT_GT(r, 0.0);
   }
 }
@@ -126,27 +133,45 @@ TEST(CpuEngine, EmptyBatchIsNoop) {
   const auto model = workload::make_nips_model(10);
   const auto backend = arith::make_float64_backend();
   const auto module = compiler::compile_spn(model.spn, *backend);
-  CpuInferenceEngine engine(module, 1);
-  EXPECT_NO_THROW(engine.infer({}, {}));
+  CpuEngine engine(wrap(module), {.threads = 1});
+  EXPECT_NO_THROW(engine.wait(engine.submit({}, {})));
 }
 
 TEST(CpuEngine, RejectsMismatchedSizes) {
   const auto model = workload::make_nips_model(10);
   const auto backend = arith::make_float64_backend();
   const auto module = compiler::compile_spn(model.spn, *backend);
-  CpuInferenceEngine engine(module, 1);
+  CpuEngine engine(wrap(module), {.threads = 1});
   std::vector<std::uint8_t> samples(15);  // not a multiple of 10
   std::vector<double> results(2);
-  EXPECT_THROW(engine.infer(samples, results), std::logic_error);
+  EXPECT_THROW(engine.submit(samples, results), std::logic_error);
 }
 
 TEST(CpuEngine, ThroughputIsMeasurable) {
   const auto model = workload::make_nips_model(10);
   const auto backend = arith::make_float64_backend();
   const auto module = compiler::compile_spn(model.spn, *backend);
-  CpuInferenceEngine engine(module, 1);
+  CpuEngine engine(wrap(module), {.threads = 1});
   const double rate = engine.measure_throughput(50'000);
   EXPECT_GT(rate, 1e5);  // sanity: >100 Ksamples/s even on a weak host
+}
+
+TEST(CpuEngine, ThroughputDrawStaysInsideNarrowTables) {
+  // A joint model over a 16-byte domain: byte 16 and up have no table
+  // entry, so the synthetic batch must draw only bytes every table covers
+  // (a wider draw would trip the executor's range check).
+  spn::RandomSpnConfig config;
+  config.variables = 6;
+  config.leaf_domain = 16;
+  config.seed = 107;
+  compiler::CompileOptions options;
+  options.input_domain = 16;
+  const auto backend = arith::make_float64_backend();
+  const auto module =
+      compiler::compile_spn(spn::make_random_spn(config), *backend, options);
+  CpuEngine engine(wrap(module), {.threads = 2});
+  EXPECT_GT(engine.measure_throughput(4096), 0.0);
+  EXPECT_EQ(engine.stats().samples, 4096u);
 }
 
 TEST(ReferencePlatforms, CurvesCoverAllBenchmarks) {

@@ -87,9 +87,11 @@ TEST(Serialize, RejectsCorruptedOpOrder) {
   save_design(original, stream);
   std::string bytes = stream.str();
   // Corrupt the first non-lookup op's lhs to a forward reference. Header is
-  // 24 bytes + 8 bytes op count; each op is 9*4 + 8 = 44 bytes. Find a mul
-  // op (kind != 0) and bump its lhs to a huge id.
-  const std::size_t ops_base = 24 + 8;
+  // magic, version, query word, u64 evidence length + 10 evidence bytes,
+  // u64 features, depth, result op (46 bytes) + 8 bytes op count; each op
+  // is 9*4 + 8 = 44 bytes. Find a mul op (kind != 0) and bump its lhs to
+  // a huge id.
+  const std::size_t ops_base = 46 + 8;
   const std::size_t op_size = 44;
   for (std::size_t i = 0;; ++i) {
     const std::size_t offset = ops_base + i * op_size;
@@ -109,10 +111,9 @@ TEST(Serialize, MissingFileThrows) {
   EXPECT_THROW(load_design_file("/nonexistent/path/design.bin"), Error);
 }
 
-TEST(Serialize, JointModulesStillSaveAsV1) {
-  // Joint modules with derived (all-zero) default evidence must keep the
-  // v1 layout byte-for-byte: design files and content hashes from before
-  // the query-generic datapath stay stable.
+TEST(Serialize, JointModulesRoundTripAsV2) {
+  // Every module saves in the one layout, joint ones included: version 2,
+  // query word and (all-zero) default evidence.
   const auto original = compile_test_module();
   ASSERT_EQ(original.query(), QueryKind::kJoint);
   std::stringstream stream;
@@ -120,9 +121,24 @@ TEST(Serialize, JointModulesStillSaveAsV1) {
   const std::string bytes = stream.str();
   std::uint32_t version = 0;
   std::memcpy(&version, bytes.data() + 4, 4);
-  EXPECT_EQ(version, 1u);
+  EXPECT_EQ(version, 2u);
   const auto loaded = load_design(stream);
   EXPECT_EQ(loaded.query(), QueryKind::kJoint);
+  EXPECT_EQ(loaded.default_evidence(), original.default_evidence());
+  std::stringstream again;
+  save_design(loaded, again);
+  EXPECT_EQ(again.str(), bytes);
+}
+
+TEST(Serialize, RejectsVersion1Files) {
+  // Version 1 (no query word, no default evidence) is no longer read.
+  std::stringstream stream;
+  save_design(compile_test_module(), stream);
+  std::string bytes = stream.str();
+  const std::uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 4, &v1, 4);
+  std::stringstream old(bytes);
+  EXPECT_THROW(load_design(old), ParseError);
 }
 
 TEST(Serialize, QueryModulesRoundTripThroughV2) {

@@ -27,6 +27,12 @@ std::vector<std::uint8_t> make_documents(std::size_t variables,
   return workload::make_bag_of_words(corpus).to_bytes();
 }
 
+/// `module` as a servable artifact; `backend` must outlive it.
+engine::ModelHandle wrap(const compiler::DatapathModule& module,
+                         const arith::ArithBackend& backend) {
+  return model::ModelArtifact::wrap("nips10", module, backend);
+}
+
 TEST(CrossBackend, Float64ResultsAreBitIdentical) {
   // With a float64-compiled module every backend evaluates the same
   // operator program in IEEE double: CPU, FPGA simulation and the GPU
@@ -36,9 +42,9 @@ TEST(CrossBackend, Float64ResultsAreBitIdentical) {
   const auto module = compiler::compile_spn(model.spn, *backend);
   const auto samples = make_documents(10, 96, 2024);
 
-  engine::FpgaSimEngine fpga(module, *backend);
-  engine::CpuEngine cpu(module, {.threads = 2});
-  engine::GpuModelEngine gpu(module);
+  engine::FpgaSimEngine fpga(wrap(module, *backend));
+  engine::CpuEngine cpu(wrap(module, *backend), {.threads = 2});
+  engine::GpuModelEngine gpu(wrap(module, *backend));
 
   const auto p_fpga = fpga.infer(samples);
   const auto p_cpu = cpu.infer(samples);
@@ -64,8 +70,8 @@ TEST(CrossBackend, CfpAcceleratorMatchesCpuWithinFormatBound) {
   const auto module_f64 = compiler::compile_spn(model.spn, *f64);
   const auto samples = make_documents(10, 123, 77);
 
-  engine::FpgaSimEngine fpga(module_cfp, *cfp);
-  engine::CpuEngine cpu(module_f64, {.threads = 2});
+  engine::FpgaSimEngine fpga(wrap(module_cfp, *cfp));
+  engine::CpuEngine cpu(wrap(module_f64, *f64), {.threads = 2});
   const auto p_fpga = fpga.infer(samples);
   const auto p_cpu = cpu.infer(samples);
 
@@ -84,7 +90,7 @@ TEST(CrossBackend, EnginesMatchReferenceEvaluator) {
   const auto module = compiler::compile_spn(model.spn, *backend);
   const auto samples = make_documents(10, 32, 5);
 
-  engine::CpuEngine cpu(module);
+  engine::CpuEngine cpu(wrap(module, *backend));
   const auto results = cpu.infer(samples);
   spn::Evaluator reference(model.spn);
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -104,7 +110,7 @@ TEST(FpgaSimEngine, ThroughputMatchesDirectRuntimePath) {
   engine::FpgaEngineConfig config;
   config.pe_count = 2;
   config.compute_results = false;
-  engine::FpgaSimEngine eng(module, *backend, config);
+  engine::FpgaSimEngine eng(wrap(module, *backend), config);
   const double via_engine = eng.measure_throughput(1'000'000);
 
   sim::Scheduler scheduler;
@@ -126,7 +132,7 @@ TEST(FpgaSimEngine, TimingOnlyConfigurationRejectsFunctionalBatches) {
 
   engine::FpgaEngineConfig config;
   config.compute_results = false;
-  engine::FpgaSimEngine eng(module, *backend, config);
+  engine::FpgaSimEngine eng(wrap(module, *backend), config);
   EXPECT_FALSE(eng.capabilities().functional);
 
   std::vector<std::uint8_t> samples(10, 0);
@@ -139,7 +145,7 @@ TEST(FpgaSimEngine, StatsAccumulateAcrossBatches) {
   const auto model = workload::make_nips_model(10);
   const auto backend = arith::make_float64_backend();
   const auto module = compiler::compile_spn(model.spn, *backend);
-  engine::FpgaSimEngine eng(module, *backend);
+  engine::FpgaSimEngine eng(wrap(module, *backend));
 
   const auto samples = make_documents(10, 20, 1);
   eng.infer(samples);
@@ -155,7 +161,7 @@ TEST(Engine, SubmitValidatesSpans) {
   const auto model = workload::make_nips_model(10);
   const auto backend = arith::make_float64_backend();
   const auto module = compiler::compile_spn(model.spn, *backend);
-  engine::CpuEngine eng(module);
+  engine::CpuEngine eng(wrap(module, *backend));
 
   std::vector<std::uint8_t> ragged(15, 0);  // not a whole number of rows
   std::vector<double> results(2);
@@ -170,7 +176,7 @@ TEST(Engine, WaitRejectsUnknownAndReusedHandles) {
   const auto model = workload::make_nips_model(10);
   const auto backend = arith::make_float64_backend();
   const auto module = compiler::compile_spn(model.spn, *backend);
-  engine::FpgaSimEngine eng(module, *backend);
+  engine::FpgaSimEngine eng(wrap(module, *backend));
 
   const auto samples = make_documents(10, 4, 9);
   std::vector<double> results(4);
@@ -185,9 +191,9 @@ TEST(Engine, CapabilitiesDescribeTheBackends) {
   const auto backend = arith::make_float64_backend();
   const auto module = compiler::compile_spn(model.spn, *backend);
 
-  engine::FpgaSimEngine fpga(module, *backend);
-  engine::CpuEngine cpu(module, {.threads = 3});
-  engine::GpuModelEngine gpu(module);
+  engine::FpgaSimEngine fpga(wrap(module, *backend));
+  engine::CpuEngine cpu(wrap(module, *backend), {.threads = 3});
+  engine::GpuModelEngine gpu(wrap(module, *backend));
 
   EXPECT_EQ(fpga.capabilities().name, "fpga-sim/hbm x1");
   EXPECT_EQ(fpga.capabilities().input_features, 10u);

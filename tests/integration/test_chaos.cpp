@@ -42,6 +42,13 @@ std::vector<std::uint8_t> make_documents(std::size_t count,
   return workload::make_bag_of_words(corpus).to_bytes();
 }
 
+/// The served model, compiled in float64 so both engines agree exactly.
+engine::ModelHandle nips_model() {
+  return model::ModelArtifact::compile(
+      "nips10", "1", workload::make_nips_model(kVariables).spn,
+      arith::make_float64_backend());
+}
+
 struct ChaosRun {
   std::vector<std::vector<double>> results;
   /// Injected-fault sequence per (site, instance): the determinism witness.
@@ -54,14 +61,11 @@ struct ChaosRun {
 /// One full serving run. When `plan` is set it is armed for the duration;
 /// requests are queued before start() so batch formation is deterministic.
 ChaosRun run_serving(const std::optional<fault::FaultPlan>& plan) {
-  const auto model = workload::make_nips_model(kVariables);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
-
+  const engine::ModelHandle nips = nips_model();
   auto fpga = std::make_shared<engine::ChaosEngine>(
-      std::make_unique<engine::FpgaSimEngine>(module, *backend));
+      std::make_unique<engine::FpgaSimEngine>(nips));
   auto cpu = std::make_shared<engine::ChaosEngine>(
-      std::make_unique<engine::CpuEngine>(module));
+      std::make_unique<engine::CpuEngine>(nips));
 
   std::unique_ptr<fault::ScopedFaultPlan> armed;
   if (plan.has_value()) {
@@ -137,11 +141,8 @@ TEST(ChaosServing, TransientFaultsAreAbsorbedAndResultsMatchFaultFree) {
   EXPECT_TRUE(baseline.log.empty());
   EXPECT_EQ(baseline.stats.batch_retries, 0u);
 
-  const auto model = workload::make_nips_model(kVariables);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
   const std::string fpga_name =
-      engine::FpgaSimEngine(module, *backend).capabilities().name;
+      engine::FpgaSimEngine(nips_model()).capabilities().name;
 
   const ChaosRun chaos = run_serving(transient_plan(fpga_name));
 
@@ -167,11 +168,8 @@ TEST(ChaosServing, TransientFaultsAreAbsorbedAndResultsMatchFaultFree) {
 }
 
 TEST(ChaosServing, SameSeedReproducesTheExactFaultSequence) {
-  const auto model = workload::make_nips_model(kVariables);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
   const std::string fpga_name =
-      engine::FpgaSimEngine(module, *backend).capabilities().name;
+      engine::FpgaSimEngine(nips_model()).capabilities().name;
   const fault::FaultPlan plan = transient_plan(fpga_name);
 
   const ChaosRun first = run_serving(plan);
@@ -195,13 +193,11 @@ TEST(ChaosServing, DisarmedInjectorLeavesTheSubstrateUntouched) {
   // framework compiled in.
   fault::injector().disarm();
   const std::uint64_t injected_before = fault::injector().injected();
-  const auto model = workload::make_nips_model(kVariables);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
+  const engine::ModelHandle nips = nips_model();
   const auto samples = make_documents(64, 7);
 
-  engine::FpgaSimEngine first(module, *backend);
-  engine::FpgaSimEngine second(module, *backend);
+  engine::FpgaSimEngine first(nips);
+  engine::FpgaSimEngine second(nips);
   EXPECT_EQ(first.infer(samples), second.infer(samples));
   EXPECT_DOUBLE_EQ(first.measure_throughput(100'000),
                    second.measure_throughput(100'000));

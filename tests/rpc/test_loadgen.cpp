@@ -89,8 +89,8 @@ TEST(LoadgenSchedule, ModelPicksAreSeedDeterministicAndWeighted) {
   config.seed = 11;
   EXPECT_TRUE(make_model_picks(config).empty());  // single-model run
 
-  config.traffic.push_back({"hot@1", 3.0, {}});
-  config.traffic.push_back({"cold@1", 1.0, {}});
+  config.traffic.push_back({"hot@1", 3.0, {}, {}});
+  config.traffic.push_back({"cold@1", 1.0, {}, {}});
   const auto picks = make_model_picks(config);
   ASSERT_EQ(picks.size(), 4000u);
   EXPECT_EQ(picks, make_model_picks(config));  // same seed, same mix
@@ -207,8 +207,8 @@ TEST(Loadgen, MixedModelTrafficSplitsByWeightAndConserves) {
   LoadgenConfig config;
   config.port = stack.front->port();
   config.traffic.push_back(
-      {"mock@1", 3.0, {make_request(1, 1), make_request(2, 9)}});
-  config.traffic.push_back({"other@1", 1.0, {make_request(1, 30)}});
+      {"mock@1", 3.0, {make_request(1, 1), make_request(2, 9)}, {}});
+  config.traffic.push_back({"other@1", 1.0, {make_request(1, 30)}, {}});
   config.request_count = 200;
   config.rate_rps = 20'000.0;
   config.connections = 2;

@@ -244,6 +244,28 @@ TEST(RpcServer, PerRequestDeadlineMapsToDeadlineExceeded) {
   EXPECT_EQ(stats.deadline_exceeded, 1u);
 }
 
+TEST(RpcServer, DeadlineAboveTheCapIsAnInvalidRequest) {
+  // A deadline past kMaxDeadlineUs (here the largest u64) is refused at
+  // the front door instead of overflowing the server's deadline clock.
+  Harness harness;
+  const auto client = harness.connect();
+  try {
+    client->infer("mock@1", make_request(1, 5), UINT64_MAX);
+    FAIL() << "expected kInvalidRequest";
+  } catch (const RpcStatusError& e) {
+    EXPECT_EQ(e.status(), Status::kInvalidRequest);
+    EXPECT_FALSE(e.retryable());
+  }
+  // The books stay conserved and the connection keeps serving, deadlines
+  // at the cap included.
+  const auto request = make_request(2, 6);
+  expect_encoded(request, client->infer("mock@1", request, kMaxDeadlineUs));
+  const RpcServerStats stats = harness.front->stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_TRUE(stats.conserved()) << stats.describe();
+}
+
 /// Raw ADMIN poll over a fresh socket: consume the server's HELLO, send
 /// one kAdmin frame, decode the kAdminReply. RpcClient's reader thread
 /// only expects kResponse frames, so the introspection plane speaks the
@@ -474,17 +496,17 @@ TEST(RpcServer, RemoteMarginalAndMpeMatchTheLocalReference) {
   const ServerInfo& info = client->server_info();
   ASSERT_EQ(info.models.size(), 3u);
   EXPECT_EQ(info.input_features("q@1#marginal"), kQueryVars);
+  // Suffixed bare refs resolve within their own query kind, as the
+  // server resolves them.
+  EXPECT_EQ(info.input_features("q#mpe"), kQueryVars);
 
   std::vector<std::uint8_t> bytes;
   std::vector<std::vector<double>> doubles;
   harness.make_batch(16, 31, bytes, doubles);
 
-  QueryOptions marginal;
-  marginal.query_kind = 1;
-  const auto p_marginal = client->infer("q@1", bytes, 0, marginal);
-  QueryOptions mpe;
-  mpe.query_kind = 2;
-  const auto p_mpe = client->infer("q@1", bytes, 0, mpe);
+  // The query kind travels in the lane ref only.
+  const auto p_marginal = client->infer("q@1#marginal", bytes);
+  const auto p_mpe = client->infer("q#mpe", bytes);
 
   spn::Evaluator reference(harness.spn);
   ASSERT_EQ(p_marginal.size(), 16u);
@@ -524,14 +546,11 @@ TEST(RpcServer, RemoteSparseEvidenceEqualsDense) {
       compiler::sparse_from_dense(bytes, kQueryVars, defaults));
   ASSERT_LT(stream.size(), bytes.size());
 
-  QueryOptions dense;
-  dense.query_kind = 1;
   QueryOptions sparse;
-  sparse.query_kind = 1;
   sparse.encoding = kEncodingSparse;
   sparse.sample_count = 12;
-  const auto p_dense = client->infer("q@1", bytes, 0, dense);
-  const auto p_sparse = client->infer("q@1", stream, 0, sparse);
+  const auto p_dense = client->infer("q@1#marginal", bytes);
+  const auto p_sparse = client->infer("q@1#marginal", stream, 0, sparse);
   ASSERT_EQ(p_sparse.size(), 12u);
   for (std::size_t i = 0; i < 12; ++i) {
     EXPECT_EQ(p_sparse[i], p_dense[i]) << i;
@@ -551,14 +570,13 @@ TEST(RpcServer, MalformedSparseStreamsRejectWithInvalidRequest) {
       compiler::sparse_from_dense(bytes, kQueryVars, defaults));
 
   QueryOptions sparse;
-  sparse.query_kind = 1;
   sparse.encoding = kEncodingSparse;
   sparse.sample_count = 2;
 
   // Truncated stream.
   std::vector<std::uint8_t> truncated(stream.begin(), stream.end() - 1);
   try {
-    client->infer("q@1", truncated, 0, sparse);
+    client->infer("q@1#marginal", truncated, 0, sparse);
     FAIL() << "expected kInvalidRequest";
   } catch (const RpcStatusError& e) {
     EXPECT_EQ(e.status(), Status::kInvalidRequest);
@@ -569,7 +587,7 @@ TEST(RpcServer, MalformedSparseStreamsRejectWithInvalidRequest) {
   const std::vector<std::uint8_t> duplicate = {2, 0, 3, 0, 1, 3, 0, 2,  //
                                                0, 0};
   try {
-    client->infer("q@1", duplicate, 0, sparse);
+    client->infer("q@1#marginal", duplicate, 0, sparse);
     FAIL() << "expected kInvalidRequest";
   } catch (const RpcStatusError& e) {
     EXPECT_EQ(e.status(), Status::kInvalidRequest);
@@ -586,16 +604,16 @@ TEST(RpcServer, MalformedSparseStreamsRejectWithInvalidRequest) {
   }
 }
 
-/// Minimal v3 peer: accepts connections and answers each with a HELLO
-/// advertising protocol_version 3, then holds the socket open.
-struct V3Peer {
-  V3Peer() : listener(0) {
-    acceptor = std::thread([this] {
+/// Minimal older peer: accepts connections and answers each with a HELLO
+/// advertising `version`, then holds the socket open.
+struct OldPeer {
+  explicit OldPeer(std::uint16_t version) : listener(0) {
+    acceptor = std::thread([this, version] {
       while (true) {
         Socket conn = listener.accept();
         if (!conn.valid()) return;  // listener shut down
         HelloFrame hello;
-        hello.protocol_version = 3;
+        hello.protocol_version = version;
         hello.build_version = "old-build";
         hello.models = {{"q@1", static_cast<std::uint32_t>(kQueryVars)}};
         const auto wire = encode_frame(encode_hello(hello));
@@ -609,7 +627,7 @@ struct V3Peer {
     });
   }
 
-  ~V3Peer() {
+  ~OldPeer() {
     listener.shutdown();
     acceptor.join();
   }
@@ -619,36 +637,37 @@ struct V3Peer {
 };
 
 TEST(RpcServer, QueryRequestsAgainstV3PeerFailClientSide) {
-  V3Peer peer;
-  const auto client =
-      RpcClient::connect("127.0.0.1", peer.listener.port());
-  EXPECT_EQ(client->server_info().protocol_version, 3u);
-
-  // Marginal/MPE/sparse requests need v4: the client refuses before
-  // sending a frame the old server could not parse.
-  QueryOptions marginal;
-  marginal.query_kind = 1;
-  EXPECT_THROW(client->submit("q@1", std::vector<std::uint8_t>(kQueryVars, 0),
-                              0, 0, marginal),
-               RpcError);
-  EXPECT_TRUE(client->alive());  // the refusal never touched the socket
+  // The client speaks exactly one protocol version: against a v3 or v4
+  // peer the handshake itself fails, so no request frame the old server
+  // could misparse is ever sent.
+  for (const std::uint16_t version : {std::uint16_t{3}, std::uint16_t{4}}) {
+    OldPeer peer(version);
+    try {
+      (void)RpcClient::connect("127.0.0.1", peer.listener.port());
+      FAIL() << "connected to a v" << version << " peer";
+    } catch (const RpcError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("v" + std::to_string(version)), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("v" + std::to_string(kProtocolVersion)),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(RpcServer, ResilientClientGivesUpOnV3PeerWithoutRetrying) {
-  V3Peer peer;
+  OldPeer peer(3);
   ResilientClientConfig config;
   config.port = peer.listener.port();
   config.max_attempts = 5;
   ResilientClient client(config);
 
-  QueryOptions marginal;
-  marginal.query_kind = 1;
   try {
-    client.infer("q@1", std::vector<std::uint8_t>(kQueryVars, 0), 0,
-                 marginal);
+    client.infer("q@1#marginal", std::vector<std::uint8_t>(kQueryVars, 0));
     FAIL() << "expected RpcGiveUpError";
   } catch (const RpcGiveUpError& e) {
-    // Terminal, not transport: one classification, zero retries.
+    // Terminal, not transport: one classification, zero redials.
     EXPECT_EQ(e.reason(), GiveUpReason::kNonRetryable);
     EXPECT_EQ(e.last_status(), Status::kInvalidRequest);
   }

@@ -13,10 +13,20 @@
 namespace spnhbm::rpc {
 namespace {
 
+/// A one-row dense request for lane "m@1" with a 3-byte payload.
+RequestFrame small_request() {
+  RequestFrame request;
+  request.model = "m@1";
+  request.sample_count = 1;
+  request.samples = {1, 2, 3};
+  return request;
+}
+
 TEST(Wire, FrameLayoutIsMagicTypeLength) {
   RequestFrame request;
   request.request_id = 7;
   request.model = "m@1";
+  request.sample_count = 1;
   request.samples = {1, 2, 3, 4};
   const auto wire = encode_frame(encode_request(request));
   ASSERT_GE(wire.size(), kFrameHeaderBytes);
@@ -52,18 +62,40 @@ TEST(Wire, HelloRoundtrip) {
 }
 
 TEST(Wire, RequestRoundtrip) {
-  RequestFrame request;
-  request.request_id = 0xDEADBEEFCAFEull;
-  request.model = "mock@1";
-  request.deadline_us = 250'000;
-  request.samples = {0, 1, 2, 255, 254, 253};
-  const Frame frame = encode_request(request);
-  EXPECT_EQ(frame.type, FrameType::kRequest);
-  const RequestFrame decoded = decode_request(frame.body);
-  EXPECT_EQ(decoded.request_id, request.request_id);
-  EXPECT_EQ(decoded.model, request.model);
-  EXPECT_EQ(decoded.deadline_us, request.deadline_us);
-  EXPECT_EQ(decoded.samples, request.samples);
+  // Every field survives for {dense, sparse} x trace {absent, present} x
+  // idempotency key {absent, present}; absent fields decode as zero.
+  for (const std::uint8_t encoding : {kEncodingDense, kEncodingSparse}) {
+    for (const bool traced : {false, true}) {
+      for (const bool keyed : {false, true}) {
+        RequestFrame request;
+        request.request_id = 0xDEADBEEFCAFEull;
+        request.model = "mock@1#marginal";
+        request.deadline_us = 250'000;
+        request.encoding = encoding;
+        request.sample_count = encoding == kEncodingDense ? 2 : 3;
+        // Opaque to the wire layer: any payload bytes pass through.
+        request.samples = {0, 1, 2, 255, 254, 253};
+        if (traced) {
+          request.trace.trace_id = 0xABCDEF0123456789ull;
+          request.trace.parent_span = 0x42;
+        }
+        if (keyed) request.idempotency_key = 0x1122334455667788ull;
+        const Frame frame = encode_request(request);
+        EXPECT_EQ(frame.type, FrameType::kRequest);
+        const RequestFrame decoded = decode_request(frame.body);
+        EXPECT_EQ(decoded.request_id, request.request_id);
+        EXPECT_EQ(decoded.model, request.model);
+        EXPECT_EQ(decoded.deadline_us, request.deadline_us);
+        EXPECT_EQ(decoded.encoding, encoding);
+        EXPECT_EQ(decoded.sample_count, request.sample_count);
+        EXPECT_EQ(decoded.samples, request.samples);
+        EXPECT_EQ(decoded.trace.valid(), traced);
+        EXPECT_EQ(decoded.trace.trace_id, request.trace.trace_id);
+        EXPECT_EQ(decoded.trace.parent_span, request.trace.parent_span);
+        EXPECT_EQ(decoded.idempotency_key, request.idempotency_key);
+      }
+    }
+  }
 }
 
 TEST(Wire, ResponseRoundtripOk) {
@@ -116,6 +148,8 @@ TEST(Wire, HeaderRejectsBadMagicTypeAndOversizedBody) {
 
   header[4] = 99;  // unknown frame type
   EXPECT_THROW(decode_frame_header(header, type), WireError);
+  header[4] = 7;  // one past kAdminReply, the last frame type
+  EXPECT_THROW(decode_frame_header(header, type), WireError);
   header[4] = static_cast<std::uint8_t>(FrameType::kShutdown);
 
   // body_length past kMaxBodyBytes is a violation, not an allocation.
@@ -128,10 +162,72 @@ TEST(Wire, HeaderRejectsBadMagicTypeAndOversizedBody) {
 }
 
 TEST(Wire, DecodersRejectTruncatedAndTrailingBytes) {
+  const Frame frame = encode_request(small_request());
+
+  std::vector<std::uint8_t> truncated(frame.body.begin(),
+                                      frame.body.end() - 1);
+  EXPECT_THROW(decode_request(truncated), WireError);
+
+  std::vector<std::uint8_t> trailing = frame.body;
+  trailing.push_back(0);
+  EXPECT_THROW(decode_request(trailing), WireError);
+}
+
+// The Request2* tests keep the names of the former second request frame,
+// whose encoding/count layout is now the single REQUEST frame's; the query
+// kind it carried as a byte now rides in the lane ref's "#kind" suffix.
+
+TEST(Wire, Request2RoundtripDense) {
   RequestFrame request;
-  request.model = "m@1";
-  request.samples = {1, 2, 3};
-  Frame frame = encode_request(request);
+  request.request_id = 0xFEEDFACEull;
+  request.model = "m@1#marginal";
+  request.deadline_us = 50'000;
+  request.encoding = kEncodingDense;
+  request.sample_count = 2;
+  request.samples = {1, 2, 3, 4, 5, 6};
+  const Frame frame = encode_request(request);
+  EXPECT_EQ(frame.type, FrameType::kRequest);
+  const RequestFrame decoded = decode_request(frame.body);
+  EXPECT_EQ(decoded.request_id, request.request_id);
+  EXPECT_EQ(decoded.model, "m@1#marginal");
+  EXPECT_EQ(decoded.deadline_us, request.deadline_us);
+  EXPECT_EQ(decoded.encoding, kEncodingDense);
+  EXPECT_EQ(decoded.sample_count, 2u);
+  EXPECT_EQ(decoded.samples, request.samples);
+  EXPECT_FALSE(decoded.trace.valid());
+  EXPECT_EQ(decoded.idempotency_key, 0u);
+}
+
+TEST(Wire, Request2RoundtripSparseWithTraceAndKey) {
+  // The full tail (trace block then key, 24 bytes) must survive after
+  // the encoding and count fields.
+  RequestFrame request;
+  request.request_id = 21;
+  request.model = "m@1#mpe";
+  request.encoding = kEncodingSparse;
+  request.sample_count = 3;
+  // Opaque to the wire layer: any CSR stream bytes pass through.
+  request.samples = {1, 0, 3, 0, 9, 0, 0, 2, 0, 1, 0, 4, 0, 7};
+  request.trace.trace_id = 0x77ull;
+  request.trace.parent_span = 5;
+  request.idempotency_key = 0xA5A5A5A5ull;
+  const RequestFrame decoded = decode_request(encode_request(request).body);
+  EXPECT_EQ(decoded.model, "m@1#mpe");
+  EXPECT_EQ(decoded.encoding, kEncodingSparse);
+  EXPECT_EQ(decoded.sample_count, 3u);
+  EXPECT_EQ(decoded.samples, request.samples);
+  EXPECT_TRUE(decoded.trace.valid());
+  EXPECT_EQ(decoded.trace.trace_id, request.trace.trace_id);
+  EXPECT_EQ(decoded.trace.parent_span, request.trace.parent_span);
+  EXPECT_EQ(decoded.idempotency_key, request.idempotency_key);
+}
+
+TEST(Wire, Request2RejectsTruncatedAndTrailingBytes) {
+  RequestFrame request = small_request();
+  request.model = "m@1#marginal";
+  request.encoding = kEncodingSparse;
+  request.samples = {1, 0, 2, 0, 9};
+  const Frame frame = encode_request(request);
 
   std::vector<std::uint8_t> truncated(frame.body.begin(),
                                       frame.body.end() - 1);
@@ -146,6 +242,7 @@ TEST(Wire, TraceBlockRoundtripsWhenSet) {
   RequestFrame request;
   request.request_id = 11;
   request.model = "mock@1";
+  request.sample_count = 1;
   request.samples = {9, 8, 7};
   request.trace.trace_id = 0xABCDEF0123456789ull;
   request.trace.parent_span = 0x42;
@@ -157,56 +254,26 @@ TEST(Wire, TraceBlockRoundtripsWhenSet) {
 }
 
 TEST(Wire, UntracedRequestOmitsTheTraceBlock) {
-  // A v2 request without a context is byte-identical to the v1 layout:
-  // the optional trailing block is absent, not zero-filled, so a v1 peer
-  // parses it unchanged.
-  RequestFrame traced, untraced;
-  traced.model = untraced.model = "m@1";
-  traced.samples = untraced.samples = {1, 2, 3};
+  // An untraced request carries no trace context: its trace fields are
+  // zero on the wire and decode as an invalid (absent) context. The
+  // layout is fixed, so traced and untraced bodies are the same length.
+  RequestFrame traced = small_request();
+  const RequestFrame untraced = small_request();
   traced.trace.trace_id = 5;
-  EXPECT_EQ(encode_request(untraced).body.size() + 16,
+  EXPECT_EQ(encode_request(untraced).body.size(),
             encode_request(traced).body.size());
   const RequestFrame decoded = decode_request(encode_request(untraced).body);
   EXPECT_FALSE(decoded.trace.valid());
   EXPECT_EQ(decoded.trace.trace_id, 0u);
-}
-
-TEST(Wire, V1PeerRequestBodyStillDecodes) {
-  // Hand-build the v1 body layout: u64 request_id, string model,
-  // u64 deadline_us, u32-length samples — and nothing after it.
-  const auto put_u32 = [](std::vector<std::uint8_t>& b, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  };
-  const auto put_u64 = [](std::vector<std::uint8_t>& b, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  };
-  std::vector<std::uint8_t> body;
-  put_u64(body, 77);               // request_id
-  body.push_back(3);               // u16 string length, little-endian
-  body.push_back(0);
-  body.push_back('m');
-  body.push_back('@');
-  body.push_back('1');
-  put_u64(body, 0);                // deadline_us
-  put_u32(body, 2);                // samples length
-  body.push_back(0xAA);
-  body.push_back(0xBB);
-
-  const RequestFrame decoded = decode_request(body);
-  EXPECT_EQ(decoded.request_id, 77u);
-  EXPECT_EQ(decoded.model, "m@1");
-  ASSERT_EQ(decoded.samples.size(), 2u);
-  EXPECT_FALSE(decoded.trace.valid());
+  EXPECT_EQ(decoded.trace.parent_span, 0u);
 }
 
 TEST(Wire, TracedRequestRejectsTruncatedAndTrailingBytes) {
-  RequestFrame request;
-  request.model = "m@1";
-  request.samples = {1, 2, 3};
+  RequestFrame request = small_request();
   request.trace.trace_id = 99;
   const Frame frame = encode_request(request);
 
-  // A partial trace block is a violation, not a silent v1 fallback.
+  // A partial trailing field is a violation, never a silent default.
   std::vector<std::uint8_t> truncated(frame.body.begin(),
                                       frame.body.end() - 1);
   EXPECT_THROW(decode_request(truncated), WireError);
@@ -217,10 +284,7 @@ TEST(Wire, TracedRequestRejectsTruncatedAndTrailingBytes) {
 }
 
 TEST(Wire, IdempotencyKeyRoundtripsAlone) {
-  // Tail of 8 bytes = key without a trace block (v3).
-  RequestFrame request;
-  request.model = "m@1";
-  request.samples = {1, 2, 3};
+  RequestFrame request = small_request();
   request.idempotency_key = 0x1122334455667788ull;
   const Frame frame = encode_request(request);
   const RequestFrame decoded = decode_request(frame.body);
@@ -229,10 +293,8 @@ TEST(Wire, IdempotencyKeyRoundtripsAlone) {
 }
 
 TEST(Wire, IdempotencyKeyRoundtripsWithTraceBlock) {
-  // Tail of 24 bytes = trace block then key; both must survive.
-  RequestFrame request;
-  request.model = "m@1";
-  request.samples = {1, 2, 3};
+  // Trace context then key; both must survive.
+  RequestFrame request = small_request();
   request.trace.trace_id = 0xABCull;
   request.trace.parent_span = 7;
   request.idempotency_key = 0x99AABBCCDDEEFF00ull;
@@ -244,24 +306,20 @@ TEST(Wire, IdempotencyKeyRoundtripsWithTraceBlock) {
 }
 
 TEST(Wire, KeylessRequestOmitsTheKeyBlock) {
-  // Key 0 means "no key": the frame stays byte-identical to the v1/v2
-  // layouts so old peers parse it unchanged.
-  RequestFrame keyed, keyless;
-  keyed.model = keyless.model = "m@1";
-  keyed.samples = keyless.samples = {1, 2, 3};
+  // Key 0 means "no key": a keyless request differs from a keyed one only
+  // in the zero key field, and decodes with no key.
+  RequestFrame keyed = small_request();
+  const RequestFrame keyless = small_request();
   keyed.idempotency_key = 123;
-  EXPECT_EQ(encode_request(keyless).body.size() + 8,
+  EXPECT_EQ(encode_request(keyless).body.size(),
             encode_request(keyed).body.size());
   const RequestFrame decoded = decode_request(encode_request(keyless).body);
   EXPECT_EQ(decoded.idempotency_key, 0u);
 }
 
 TEST(Wire, KeyedRequestRejectsTruncatedAndTrailingBytes) {
-  // A malformed tail (7 or 9 bytes of trailing block) is a violation —
-  // the 0/8/16/24 disambiguation must not guess.
-  RequestFrame request;
-  request.model = "m@1";
-  request.samples = {1, 2, 3};
+  // A key one byte short or long is a violation, not a guess.
+  RequestFrame request = small_request();
   request.idempotency_key = 42;
   const Frame frame = encode_request(request);
 
@@ -274,113 +332,32 @@ TEST(Wire, KeyedRequestRejectsTruncatedAndTrailingBytes) {
   EXPECT_THROW(decode_request(trailing), WireError);
 }
 
-TEST(Wire, Request2RoundtripDense) {
-  RequestFrame request;
-  request.request_id = 0xFEEDFACEull;
-  request.model = "m@1";
-  request.deadline_us = 50'000;
-  request.query_kind = 1;  // marginal
-  request.encoding = kEncodingDense;
-  request.sample_count = 2;
-  request.samples = {1, 2, 3, 4, 5, 6};
-  const Frame frame = encode_request2(request);
-  EXPECT_EQ(frame.type, FrameType::kRequest2);
-  const RequestFrame decoded = decode_request2(frame.body);
-  EXPECT_EQ(decoded.request_id, request.request_id);
-  EXPECT_EQ(decoded.model, request.model);
-  EXPECT_EQ(decoded.deadline_us, request.deadline_us);
-  EXPECT_EQ(decoded.query_kind, 1);
-  EXPECT_EQ(decoded.encoding, kEncodingDense);
-  EXPECT_EQ(decoded.sample_count, 2u);
-  EXPECT_EQ(decoded.samples, request.samples);
-  EXPECT_FALSE(decoded.trace.valid());
-  EXPECT_EQ(decoded.idempotency_key, 0u);
-}
-
-TEST(Wire, Request2RoundtripSparseWithTraceAndKey) {
-  // The full tail (trace block then key, 24 bytes) must survive after
-  // the v4 fields, same disambiguation as plain REQUEST.
-  RequestFrame request;
-  request.request_id = 21;
-  request.model = "m@1";
-  request.query_kind = 2;  // MPE
-  request.encoding = kEncodingSparse;
-  request.sample_count = 3;
-  // Opaque to the wire layer: any CSR stream bytes pass through.
-  request.samples = {1, 0, 3, 0, 9, 0, 0, 2, 0, 1, 0, 4, 0, 7};
-  request.trace.trace_id = 0x77ull;
-  request.trace.parent_span = 5;
-  request.idempotency_key = 0xA5A5A5A5ull;
-  const RequestFrame decoded = decode_request2(encode_request2(request).body);
-  EXPECT_EQ(decoded.query_kind, 2);
-  EXPECT_EQ(decoded.encoding, kEncodingSparse);
-  EXPECT_EQ(decoded.sample_count, 3u);
-  EXPECT_EQ(decoded.samples, request.samples);
-  EXPECT_TRUE(decoded.trace.valid());
-  EXPECT_EQ(decoded.trace.trace_id, request.trace.trace_id);
-  EXPECT_EQ(decoded.trace.parent_span, request.trace.parent_span);
-  EXPECT_EQ(decoded.idempotency_key, request.idempotency_key);
-}
-
-TEST(Wire, Request2EncoderRejectsBadFields) {
-  RequestFrame request;
-  request.model = "m@1";
-  request.samples = {1, 2, 3};
-  request.sample_count = 1;
-
-  RequestFrame bad_kind = request;
-  bad_kind.query_kind = 3;
-  EXPECT_THROW(encode_request2(bad_kind), WireError);
-
-  RequestFrame bad_encoding = request;
+TEST(Wire, EncoderRejectsBadEncodingAndZeroCount) {
+  RequestFrame bad_encoding = small_request();
   bad_encoding.encoding = 2;
-  EXPECT_THROW(encode_request2(bad_encoding), WireError);
+  EXPECT_THROW(encode_request(bad_encoding), WireError);
 
-  RequestFrame zero_count = request;
+  RequestFrame zero_count = small_request();
   zero_count.sample_count = 0;
-  EXPECT_THROW(encode_request2(zero_count), WireError);
+  EXPECT_THROW(encode_request(zero_count), WireError);
 }
 
-TEST(Wire, Request2RejectsTruncatedAndTrailingBytes) {
-  RequestFrame request;
-  request.model = "m@1";
-  request.query_kind = 1;
-  request.encoding = kEncodingSparse;
-  request.sample_count = 1;
-  request.samples = {1, 0, 2, 0, 9};
-  const Frame frame = encode_request2(request);
-
-  std::vector<std::uint8_t> truncated(frame.body.begin(),
-                                      frame.body.end() - 1);
-  EXPECT_THROW(decode_request2(truncated), WireError);
-
-  std::vector<std::uint8_t> trailing = frame.body;
-  trailing.push_back(0);
-  EXPECT_THROW(decode_request2(trailing), WireError);
-}
-
-TEST(Wire, Request2DecoderRejectsCorruptQueryAndEncodingBytes) {
-  // Corrupt the encoded bytes in place: the query-kind and encoding bytes
-  // sit right after the u64 deadline, which follows the u16-length model
-  // string and the u64 request id.
-  RequestFrame request;
-  request.model = "m@1";
-  request.query_kind = 1;
-  request.encoding = kEncodingDense;
-  request.sample_count = 1;
-  request.samples = {1, 2, 3};
-  const Frame frame = encode_request2(request);
-  const std::size_t query_offset = 8 + 2 + 3 + 8;  // id, len, "m@1", deadline
-
-  std::vector<std::uint8_t> bad_kind = frame.body;
-  ASSERT_EQ(bad_kind[query_offset], 1);
-  bad_kind[query_offset] = 9;
-  EXPECT_THROW(decode_request2(bad_kind), WireError);
+TEST(Wire, DecoderRejectsBadEncodingAndZeroCount) {
+  // Corrupt the encoded bytes in place: the encoding byte and the u32
+  // sample count sit right after the u64 deadline, which follows the
+  // u16-length lane ref and the u64 request id.
+  const Frame frame = encode_request(small_request());
+  const std::size_t encoding_offset = 8 + 2 + 3 + 8;
 
   std::vector<std::uint8_t> bad_encoding = frame.body;
-  ASSERT_EQ(bad_encoding[query_offset + 1], kEncodingDense);
-  bad_encoding[query_offset + 1] = 7;
-  EXPECT_THROW(decode_request2(bad_encoding), WireError);
+  ASSERT_EQ(bad_encoding[encoding_offset], kEncodingDense);
+  bad_encoding[encoding_offset] = 7;
+  EXPECT_THROW(decode_request(bad_encoding), WireError);
+
+  std::vector<std::uint8_t> zero_count = frame.body;
+  ASSERT_EQ(zero_count[encoding_offset + 1], 1);
+  zero_count[encoding_offset + 1] = 0;
+  EXPECT_THROW(decode_request(zero_count), WireError);
 }
 
 TEST(Wire, AdminFrameHasEmptyBody) {

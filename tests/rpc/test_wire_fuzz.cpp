@@ -1,9 +1,9 @@
 // Wire-protocol fuzz: a live RpcServer is fed >= 10k seeded malformed
 // frames — truncations, bad magic, oversized length claims, random bit
-// flips, random bodies under valid headers (all v4 frame types, REQUEST2
-// included), and structurally valid REQUEST2 frames carrying broken v4
-// fields or malformed CSR sparse streams — and must neither crash nor
-// wedge: every violating connection is closed cleanly, the conservation
+// flips, random bodies under valid headers (every frame type), and
+// structurally valid REQUEST frames carrying broken encoding/count bytes,
+// unknown query-kind lane suffixes or malformed CSR sparse streams — and
+// must neither crash nor wedge: every violating connection is closed cleanly, the conservation
 // identities keep holding, and a well-formed client still gets correct
 // results afterwards.
 //
@@ -37,26 +37,40 @@ using engine_test::make_request;
 constexpr std::size_t kFuzzFrames = 10'000;
 constexpr std::uint8_t kShutdownType = 4;
 
+void put_u32(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
 std::vector<std::uint8_t> valid_request_wire(Rng& rng) {
   RequestFrame request;
   request.request_id = rng.next_u64();
   request.model = "mock@1";
-  request.samples = make_request(1 + rng.next_below(3),
+  request.sample_count = 1 + static_cast<std::uint32_t>(rng.next_below(3));
+  request.samples = make_request(request.sample_count,
                                  static_cast<std::uint8_t>(rng.next_u64()));
   if (rng.next_below(4) == 0) request.idempotency_key = rng.next_u64() | 1;
+  if (rng.next_below(4) == 0) request.trace.trace_id = rng.next_u64() | 1;
   return encode_frame(encode_request(request));
 }
 
-/// A structurally valid REQUEST2 frame whose v4 fields or sparse payload
-/// are wrong: bogus query-kind/encoding bytes, sample-count lies, and
-/// CSR streams that are truncated, out of range, duplicated or
-/// non-increasing. The server must answer with a typed rejection or a
-/// clean close — never a crash and never an engine fault.
-std::vector<std::uint8_t> malformed_request2_wire(Rng& rng) {
+/// A structurally valid REQUEST frame whose fields or sparse payload are
+/// wrong: query-kind lane suffixes the mock does not serve, bogus
+/// encoding/count bytes, sample-count lies, and CSR streams that are
+/// truncated, out of range, duplicated or non-increasing. The server
+/// must answer with a typed rejection or a clean close — never a crash
+/// and never an engine fault.
+std::vector<std::uint8_t> malformed_request_wire(Rng& rng) {
+  static const char* const kLanes[] = {"mock@1", "mock@1#marginal",
+                                       "mock@1#mpe"};
   RequestFrame request;
   request.request_id = rng.next_u64();
-  request.model = "mock@1";
-  request.query_kind = static_cast<std::uint8_t>(rng.next_below(3));
+  request.model = kLanes[rng.next_below(3)];
+  // A fuzzed deadline is mostly past the server's cap.
+  if (rng.next_below(4) == 0) request.deadline_us = rng.next_u64();
   request.encoding = kEncodingSparse;
   request.sample_count = 1 + static_cast<std::uint32_t>(rng.next_below(4));
   switch (rng.next_below(5)) {
@@ -79,24 +93,21 @@ std::vector<std::uint8_t> malformed_request2_wire(Rng& rng) {
       }
       break;
   }
-  std::vector<std::uint8_t> wire = encode_frame(encode_request2(request));
-  // In a third of the frames, also corrupt the query-kind/encoding bytes
-  // in place (the encoder refuses to produce them, the decoder must not).
+  std::vector<std::uint8_t> wire = encode_frame(encode_request(request));
+  // In a third of the frames, also corrupt the encoding byte or zero the
+  // sample count in place (the encoder refuses to produce either, the
+  // decoder must not accept them).
   if (rng.next_below(3) == 0) {
-    const std::size_t query_offset =
+    const std::size_t encoding_offset =
         kFrameHeaderBytes + 8 + 2 + request.model.size() + 8;
-    wire[query_offset + rng.next_below(2)] =
-        static_cast<std::uint8_t>(3 + rng.next_below(250));
+    if (rng.next_below(2) == 0) {
+      wire[encoding_offset] =
+          static_cast<std::uint8_t>(2 + rng.next_below(254));
+    } else {
+      put_u32(wire, encoding_offset + 1, 0);
+    }
   }
   return wire;
-}
-
-void put_u32(std::vector<std::uint8_t>& bytes, std::size_t at,
-             std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    bytes[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(value >> (8 * i));
-  }
 }
 
 std::vector<std::uint8_t> malformed_frame(Rng& rng) {
@@ -134,19 +145,21 @@ std::vector<std::uint8_t> malformed_frame(Rng& rng) {
                       rng.next_below(0xFFFFFFFFu - kMaxBodyBytes - 1)));
       break;
     }
-    case 5: {  // valid header (any v4 frame type), random body bytes
+    case 5: {  // valid header (any frame type), random body bytes
       const std::uint32_t body_len = 1 + rng.next_below(128);
       wire.resize(kFrameHeaderBytes + body_len);
       put_u32(wire, 0, kFrameMagic);
-      wire[4] = static_cast<std::uint8_t>(1 + rng.next_below(7));
+      wire[4] = static_cast<std::uint8_t>(
+          1 + rng.next_below(
+                  static_cast<std::uint8_t>(FrameType::kAdminReply)));
       put_u32(wire, 5, body_len);
       for (std::size_t at = kFrameHeaderBytes; at < wire.size(); ++at) {
         wire[at] = static_cast<std::uint8_t>(rng.next_u64());
       }
       break;
     }
-    default: {  // structurally valid REQUEST2 with broken v4/sparse content
-      wire = malformed_request2_wire(rng);
+    default: {  // structurally valid REQUEST with broken fields/content
+      wire = malformed_request_wire(rng);
       break;
     }
   }

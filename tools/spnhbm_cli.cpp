@@ -60,18 +60,20 @@
 //                [--policy rr|load] [--metrics-out FILE] [--trace-out FILE]
 //                [--fault-plan plan.json] [--request-timeout US]
 //       Replay each CSV row as an independent single-sample request
-//       through the async batching InferenceServer; print one probability
-//       per line plus the server/engine statistics. Engines may carry a
-//       failover tier as name:prio (e.g. fpga:0,cpu:1 — the CPU only
-//       serves while every tier-0 engine is quarantined). --fault-plan
-//       arms the deterministic fault injector and wraps every engine in
-//       the chaos decorator; the self-healing server (retries, failover,
-//       quarantine + probes, deadlines) then recovers where it can, and
-//       rows that still fail print an "error:" line instead of a
-//       probability. --request-timeout sets the per-request deadline.
-//       --queries compiles and serves one lane per listed query kind —
-//       a marginal lane is addressed as "model@1#marginal" over the
-//       wire, or by a plain kRequest2 query-kind byte.
+//       through the async batching InferenceServer; print a "== model"
+//       header, one probability per line, then the server/engine
+//       statistics. Shorthand for `serve --model model=<spn.txt>@1
+//       --requests model=<samples.csv>` (and --tuning model=FILE).
+//       Engines may carry a failover tier as name:prio (e.g.
+//       fpga:0,cpu:1 — the CPU only serves while every tier-0 engine is
+//       quarantined). --fault-plan arms the deterministic fault injector
+//       and wraps every engine in the chaos decorator; the self-healing
+//       server (retries, failover, quarantine + probes, deadlines) then
+//       recovers where it can, and rows that still fail print an
+//       "error:" line instead of a probability. --request-timeout sets
+//       the per-request deadline. --queries compiles and serves one lane
+//       per listed query kind — a marginal lane is addressed as
+//       "model@1#marginal" over the wire.
 //       --tuning manifest.json (repeatable; name=path with --model)
 //       applies a `spnhbm tune` manifest to the lane whose query kind it
 //       was minted for: the engine composes with the tuned block size and
@@ -129,8 +131,9 @@
 //       to the server, and the client-side spans land in the Chrome
 //       trace. --report-out writes a BENCH-shaped JSON latency report
 //       for tools/bench_compare. --query targets a marginal/MPE lane
-//       (kRequest2 frames) and --sparse re-encodes every payload row as
-//       a CSR sparse evidence stream.
+//       (the lane ref of --model gains the query-kind suffix) and
+//       --sparse re-encodes every payload row as a CSR sparse evidence
+//       stream.
 //
 //   spnhbm loadgen --connect HOST:PORT --model a[:weight] --model b[:weight]
 //                  --requests a=a.csv --requests b=b.csv [...]
@@ -144,9 +147,9 @@
 //                [--evidence 'x3=1,x17=0' ...]
 //       Remote inference against a `serve --listen` process; prints one
 //       probability per row, byte-identical to the local engine path.
-//       --query/--sparse/--evidence mirror the local flags over the v4
-//       wire (kRequest2 frames); the server must serve a lane of that
-//       query kind (serve --queries ...).
+//       --query/--sparse/--evidence mirror the local flags over the
+//       wire (--query suffixes the lane ref); the server must serve a
+//       lane of that query kind (serve --queries ...).
 //
 //   spnhbm top --connect HOST:PORT [--interval-ms MS] [--count N | --once]
 //       Live introspection of a `serve --listen` process over the ADMIN
@@ -656,18 +659,15 @@ int cmd_infer_remote(const Args& args) {
       compiler::parse_query_kind(args.option("query", "joint"));
   std::string model = args.option("model", "");
   if (model.empty()) {
-    // The first advertised lane, stripped of any query-kind suffix: the
-    // query byte re-addresses it server-side.
+    // The first advertised lane, stripped of any query-kind suffix.
     model = engine::split_lane_ref(info.models.front().id).first;
   }
-  // The targeted lane is model + query suffix; all query kinds of one
-  // model share the input width.
-  const std::uint32_t features =
-      info.input_features(model + engine::query_lane_suffix(query));
+  // The targeted lane is model + query suffix.
+  model += engine::query_lane_suffix(query);
+  const std::uint32_t features = info.input_features(model);
   const auto deadline_us = static_cast<std::uint64_t>(
       std::atoll(args.option("deadline-us", "0").c_str()));
   rpc::QueryOptions options;
-  options.query_kind = static_cast<std::uint8_t>(query);
 
   std::vector<std::uint8_t> payload;
   if (!evidence_specs.empty()) {
@@ -961,49 +961,60 @@ struct ModelSpec {
   }
 };
 
-int cmd_serve_multi(const Args& args,
-                    const std::vector<std::string>& model_specs) {
-  const TelemetryOutputs telemetry_outputs = TelemetryOutputs::from_args(args);
-  const bool chaos = arm_fault_plan(args);
-  const auto format = args.option("format", "cfp");
-  const auto queries = parse_queries(args);
-
-  // One artifact (and one server lane) per model x query kind; the
-  // registry holds the first-listed kind of each model — the variant
-  // local CSV replays address by name.
-  model::ModelRegistry registry;
-  std::vector<engine::ModelHandle> loaded;
+/// Every --model spec loaded once per --queries kind (one artifact, hence
+/// one serving lane, each), in command-line order, with each
+/// "--tuning name=manifest.json" attached to the matching query-kind
+/// variant of that model before any engine composes against it.
+struct LoadedModels {
+  std::vector<engine::ModelHandle> artifacts;
   std::map<std::string, std::vector<engine::ModelHandle>> variants_by_name;
+};
+
+LoadedModels load_models(const Args& args,
+                         const std::vector<std::string>& model_specs) {
+  const auto format = args.option("format", "cfp");
+  LoadedModels models;
   for (const auto& raw : model_specs) {
     const ModelSpec spec = ModelSpec::parse(raw);
-    for (const auto query : queries) {
+    for (const auto query : parse_queries(args)) {
       const auto artifact = model::ModelArtifact::load_file(
           spec.name, spec.version, spec.path, backend_for(format),
           compile_options_for(query));
-      if (query == queries.front()) registry.add(artifact);
-      loaded.push_back(artifact);
-      variants_by_name[spec.name].push_back(artifact);
-      std::fprintf(stderr, "loaded %s (%s)\n", artifact->describe().c_str(),
-                   compiler::query_kind_name(query));
+      models.artifacts.push_back(artifact);
+      models.variants_by_name[spec.name].push_back(artifact);
     }
   }
-  // "--tuning name=manifest.json": attach to that model's matching
-  // query-kind variant before any engine composes against it.
   for (const auto& raw : args.option_all("tuning")) {
     const auto eq = raw.find('=');
     if (eq == std::string::npos) {
       throw Error("with --model, --tuning expects name=manifest.json");
     }
-    const auto it = variants_by_name.find(raw.substr(0, eq));
-    if (it == variants_by_name.end()) {
+    const auto it = models.variants_by_name.find(raw.substr(0, eq));
+    if (it == models.variants_by_name.end()) {
       throw Error("--tuning names unknown model '" + raw.substr(0, eq) + "'");
     }
     attach_tuning_to_variants(load_tuning_file(raw.substr(eq + 1)),
                               it->second);
   }
+  return models;
+}
 
+int cmd_serve_multi(const Args& args,
+                    const std::vector<std::string>& model_specs) {
+  const TelemetryOutputs telemetry_outputs = TelemetryOutputs::from_args(args);
+  const bool chaos = arm_fault_plan(args);
+  const auto queries = parse_queries(args);
+
+  // The registry holds the first-listed query kind of each model — the
+  // variant local CSV replays address by name.
+  const LoadedModels models = load_models(args, model_specs);
+  model::ModelRegistry registry;
   engine::InferenceServer server(server_config_from_args(args));
-  for (const auto& artifact : loaded) {
+  for (const auto& artifact : models.artifacts) {
+    const auto query = artifact->module().query();
+    std::fprintf(stderr, "loaded %s (%s)\n", artifact->describe().c_str(),
+                 compiler::query_kind_name(query));
+    if (query == queries.front()) registry.add(artifact);
     register_engines_for(server, args, artifact, chaos);
   }
   server.start();
@@ -1017,12 +1028,17 @@ int cmd_serve_multi(const Args& args,
     return 0;
   }
 
-  // Replay each --requests name=path CSV against its model; rows become
-  // independent single-sample requests, so batches of different models
-  // interleave through the one server.
+  // Replay each --requests name=path CSV against its model's
+  // first-listed query lane; rows become independent single-sample
+  // requests, so batches of different models interleave through the one
+  // server. Under chaos or a request timeout, a fail-fast
+  // NoHealthyEngineError is handled the way a real client would: back
+  // off and resubmit until a probe readmits an engine; rows that still
+  // fail print an "error:" line.
+  const bool soft_errors =
+      chaos || std::atoll(args.option("request-timeout", "0").c_str()) > 0;
   struct Replay {
     std::string id;
-    std::size_t rows = 0;
     std::vector<std::future<std::vector<double>>> futures;
   };
   std::vector<Replay> replays;
@@ -1038,29 +1054,32 @@ int cmd_serve_multi(const Args& args,
           "CSV rows have %zu cells, model %s expects %zu", data.cols(),
           artifact->id().c_str(), artifact->input_features()));
     }
-    const auto samples = data.to_bytes();
-    const std::size_t features = artifact->input_features();
     Replay replay;
-    // Address the registry variant's own lane (suffixed for non-joint
-    // first-listed query kinds).
     replay.id = engine::lane_id_for(artifact->id(), queries.front());
-    replay.rows = samples.size() / features;
-    for (std::size_t i = 0; i < replay.rows; ++i) {
-      std::vector<std::uint8_t> row(
-          samples.begin() + static_cast<std::ptrdiff_t>(i * features),
-          samples.begin() + static_cast<std::ptrdiff_t>((i + 1) * features));
-      replay.futures.push_back(server.submit(replay.id, std::move(row)));
+    for (auto& row : rows_as_payloads(data)) {
+      for (int backoff = 0;; ++backoff) {
+        try {
+          replay.futures.push_back(server.submit(replay.id, std::move(row)));
+          break;
+        } catch (const engine::NoHealthyEngineError& e) {
+          if (!soft_errors || backoff >= 2000) throw;
+          if (backoff == 0) {
+            std::fprintf(stderr, "serve: %s (backing off)\n", e.what());
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
     }
     replays.push_back(std::move(replay));
   }
   for (auto& replay : replays) {
     std::printf("== model %s (%zu requests)\n", replay.id.c_str(),
-                replay.rows);
+                replay.futures.size());
     for (auto& future : replay.futures) {
       try {
         std::printf("%.12e\n", future.get().front());
       } catch (const std::exception& e) {
-        if (!chaos) throw;
+        if (!soft_errors) throw;
         std::printf("error: %s\n", e.what());
       }
     }
@@ -1084,7 +1103,6 @@ int cmd_serve_fleet(const Args& args,
   if (args.option("listen", "").empty()) {
     throw Error("--fleet-devices requires --listen (a fleet serves over RPC)");
   }
-  const auto format = args.option("format", "cfp");
   const int replicas =
       std::max(1, std::atoi(args.option("fleet-replicas", "1").c_str()));
   const std::string pe_slots_text = args.option("fleet-pe-slots", "");
@@ -1096,32 +1114,8 @@ int cmd_serve_fleet(const Args& args,
   config.server = server_config_from_args(args);
   config.default_pe_slots = pe_slots;
   fleet::FleetRouter router(config);
-  const auto queries = parse_queries(args);
-  std::map<std::string, std::vector<engine::ModelHandle>> variants_by_name;
-  std::vector<engine::ModelHandle> deploy_order;
-  for (const auto& raw : model_specs) {
-    const ModelSpec spec = ModelSpec::parse(raw);
-    for (const auto query : queries) {
-      const auto artifact = model::ModelArtifact::load_file(
-          spec.name, spec.version, spec.path, backend_for(format),
-          compile_options_for(query));
-      variants_by_name[spec.name].push_back(artifact);
-      deploy_order.push_back(artifact);
-    }
-  }
-  for (const auto& raw : args.option_all("tuning")) {
-    const auto eq = raw.find('=');
-    if (eq == std::string::npos) {
-      throw Error("with --model, --tuning expects name=manifest.json");
-    }
-    const auto it = variants_by_name.find(raw.substr(0, eq));
-    if (it == variants_by_name.end()) {
-      throw Error("--tuning names unknown model '" + raw.substr(0, eq) + "'");
-    }
-    attach_tuning_to_variants(load_tuning_file(raw.substr(eq + 1)),
-                              it->second);
-  }
-  for (const auto& artifact : deploy_order) {
+  const LoadedModels models = load_models(args, model_specs);
+  for (const auto& artifact : models.artifacts) {
     for (int r = 0; r < replicas; ++r) {
       // An explicit --fleet-pe-slots wins; otherwise deploy() sizes the
       // partition from the model's tuning manifest (deficit-checked by
@@ -1185,91 +1179,19 @@ int cmd_serve(const Args& args) {
     return cmd_serve_fleet(args, model_specs, fleet_devices);
   }
   if (!model_specs.empty()) return cmd_serve_multi(args, model_specs);
-  if (args.positional.empty()) usage();
-  const TelemetryOutputs telemetry_outputs = TelemetryOutputs::from_args(args);
-  const bool chaos = arm_fault_plan(args);
-  const std::string requests_path = args.option("requests", "");
-  const bool listen = !args.option("listen", "").empty();
-  if (requests_path.empty() && !listen) usage();
-  const auto queries = parse_queries(args);
-  std::vector<engine::ModelHandle> artifacts;
-  for (const auto query : queries) {
-    artifacts.push_back(model::ModelArtifact::load_file(
-        "model", "1", args.positional[0],
-        backend_for(args.option("format", "cfp")),
-        compile_options_for(query)));
+  // The positional single-model form `serve <model> [--requests csv]
+  // [--tuning file]` is `--model model=<model>@1` with its request and
+  // tuning files addressed to that model.
+  if (args.positional.empty() ||
+      (args.option("requests", "").empty() &&
+       args.option("listen", "").empty())) {
+    usage();
   }
-  for (const auto& spec : args.option_all("tuning")) {
-    attach_tuning_to_variants(load_tuning_file(spec), artifacts);
+  Args single = args;
+  for (auto& [key, value] : single.options) {
+    if (key == "requests" || key == "tuning") value = "model=" + value;
   }
-  const auto& artifact = artifacts.front();
-
-  const long long timeout_us =
-      std::atoll(args.option("request-timeout", "0").c_str());
-  engine::InferenceServer server(server_config_from_args(args));
-  for (const auto& variant : artifacts) {
-    register_engines_for(server, args, variant, chaos);
-  }
-  server.start();
-
-  if (listen) {
-    const rpc::RpcServerStats rpc_stats = run_rpc_front_end(server, args);
-    server.stop();
-    print_server_report(server, &rpc_stats);
-    if (chaos) print_fault_summary();
-    telemetry_outputs.write();
-    return 0;
-  }
-
-  const spn::DataMatrix data = spn::load_csv_file(requests_path);
-  if (data.cols() != artifact->input_features()) {
-    throw Error(strformat("CSV rows have %zu cells, the model expects %zu",
-                          data.cols(), artifact->input_features()));
-  }
-  const auto samples = data.to_bytes();
-  const std::size_t features = artifact->input_features();
-  const std::size_t count = samples.size() / features;
-
-  // Replay: every CSV row is one independent request against the
-  // first-listed query's lane. Under chaos, a fail-fast
-  // NoHealthyEngineError is handled the way a real client would: back
-  // off and resubmit until a probe readmits an engine.
-  const std::string replay_lane =
-      engine::lane_id_for(artifact->id(), queries.front());
-  const bool soft_errors = chaos || timeout_us > 0;
-  std::vector<std::future<std::vector<double>>> futures;
-  futures.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::vector<std::uint8_t> row(
-        samples.begin() + static_cast<std::ptrdiff_t>(i * features),
-        samples.begin() + static_cast<std::ptrdiff_t>((i + 1) * features));
-    for (int backoff = 0;; ++backoff) {
-      try {
-        futures.push_back(server.submit(replay_lane, std::move(row)));
-        break;
-      } catch (const engine::NoHealthyEngineError& e) {
-        if (!soft_errors || backoff >= 2000) throw;
-        if (backoff == 0) {
-          std::fprintf(stderr, "serve: %s (backing off)\n", e.what());
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-  }
-  for (auto& future : futures) {
-    try {
-      std::printf("%.12e\n", future.get().front());
-    } catch (const std::exception& e) {
-      if (!soft_errors) throw;
-      std::printf("error: %s\n", e.what());
-    }
-  }
-  server.stop();
-
-  print_server_report(server);
-  if (chaos) print_fault_summary();
-  telemetry_outputs.write();
-  return 0;
+  return cmd_serve_multi(single, {"model=" + args.positional[0] + "@1"});
 }
 
 /// Loadgen "--model name[:weight]" entries plus "--requests [name=]path"
@@ -1335,16 +1257,23 @@ int cmd_loadgen(const Args& args) {
         rows_as_payloads(spn::load_csv_file(args.option("requests", "")));
     default_count = config.payloads.size();
   }
-  // --query / --sparse apply to every request of the run (payloads are
-  // single CSV rows, so the explicit sample count is always 1).
+  // --query / --sparse apply to every request of the run: the query kind
+  // suffixes every lane ref, and payloads are single CSV rows, so a
+  // sparse stream's explicit sample count is always 1.
   const auto query = compiler::parse_query_kind(args.option("query", "joint"));
-  rpc::QueryOptions query_options;
-  query_options.query_kind = static_cast<std::uint8_t>(query);
-  if (query != compiler::QueryKind::kJoint || args.flag("sparse")) {
-    query_options.sample_count = 1;
+  if (query != compiler::QueryKind::kJoint) {
+    if (config.traffic.empty() && config.model.empty()) {
+      throw Error("--query needs --model naming the served model");
+    }
+    config.model += engine::query_lane_suffix(query);
+    for (auto& traffic : config.traffic) {
+      traffic.model += engine::query_lane_suffix(query);
+    }
   }
+  rpc::QueryOptions query_options;
   if (args.flag("sparse")) {
     query_options.encoding = rpc::kEncodingSparse;
+    query_options.sample_count = 1;
     const std::uint8_t missing = query == compiler::QueryKind::kJoint
                                      ? std::uint8_t{0}
                                      : compiler::kMissingByte;
@@ -1543,28 +1472,7 @@ int cmd_top(const Args& args) {
       std::atoll(args.option("interval-ms", "1000").c_str()));
 
   rpc::Socket socket = rpc::Socket::connect(host, port);
-  // Consume the hello that opens every connection.
-  std::uint8_t header[rpc::kFrameHeaderBytes];
-  if (!socket.recv_exact(header, sizeof(header))) {
-    throw Error("server closed the connection before the handshake");
-  }
-  rpc::FrameType type;
-  const std::uint32_t body_length = rpc::decode_frame_header(header, type);
-  if (type != rpc::FrameType::kHello) {
-    throw Error("expected a hello frame, got type " +
-                std::to_string(static_cast<unsigned>(type)));
-  }
-  std::vector<std::uint8_t> body(body_length);
-  if (body_length > 0 && !socket.recv_exact(body.data(), body_length)) {
-    throw Error("server closed the connection mid-handshake");
-  }
-  const rpc::HelloFrame hello = rpc::decode_hello(body);
-  if (hello.protocol_version < rpc::kTraceProtocolVersion) {
-    throw Error(strformat("server speaks protocol v%u, which has no ADMIN "
-                          "frames (needs v%u+)",
-                          hello.protocol_version,
-                          rpc::kTraceProtocolVersion));
-  }
+  rpc::receive_hello(socket);  // consumes and version-checks the HELLO
 
   std::map<std::string, double> previous;
   auto previous_time = std::chrono::steady_clock::now();
