@@ -2,10 +2,12 @@
 // the device memory manager (hot allocate/free path taken per sub-job), the
 // bit-accurate datapath executor against its scalar reference on one core,
 // the native CPU inference engine driven through the unified
-// InferenceEngine interface, and the InferenceServer's batching/dispatch
-// overhead.
+// InferenceEngine interface, the simulated FPGA card's served-batch path
+// (host cost of the block executor plus the evaluator), and the
+// InferenceServer's batching/dispatch overhead.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -13,11 +15,14 @@
 #include <vector>
 
 #include "spnhbm/compiler/op_program.hpp"
+#include "spnhbm/compiler/sparse_evidence.hpp"
 #include "spnhbm/engine/cpu_engine.hpp"
+#include "spnhbm/engine/fpga_engine.hpp"
 #include "spnhbm/engine/server.hpp"
 #include "spnhbm/runtime/memory_manager.hpp"
 #include "spnhbm/spn/evaluate.hpp"
 #include "spnhbm/util/rng.hpp"
+#include "spnhbm/workload/bag_of_words.hpp"
 #include "spnhbm/workload/model_zoo.hpp"
 
 namespace {
@@ -143,6 +148,60 @@ void BM_CpuEngineBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(count));
 }
 BENCHMARK(BM_CpuEngineBatch)->Arg(10)->Arg(80);
+
+// One served batch on an 8-PE card: NIPS80 CFP marginal queries observing
+// 8 words, 49,152 samples, dense (arg 0) or CSR sparse (arg 1). The batch
+// is split into blocks across the PEs and every PE evaluates its block
+// bit-accurately. Counters: host ns per sample (executor + evaluator, one
+// thread) and the card's virtual samples/s.
+void BM_FpgaSimInfer(benchmark::State& state) {
+  constexpr std::size_t kVariables = 80;
+  constexpr std::size_t kSamples = 49152;
+  const bool sparse = state.range(0) != 0;
+  const auto nips = workload::make_nips_model(kVariables);
+  compiler::CompileOptions options;
+  options.query = compiler::QueryKind::kMarginal;
+  options.input_domain = compiler::kMissingByte;
+  const auto model = spnhbm::model::ModelArtifact::compile(
+      nips.name, "1", nips.spn,
+      arith::make_cfp_backend(arith::paper_cfp_format()), options);
+  engine::FpgaEngineConfig config;
+  config.pe_count = 8;
+  engine::FpgaSimEngine card(model, config);
+
+  workload::CorpusConfig corpus;
+  corpus.documents = kSamples;
+  corpus.vocabulary = kVariables;
+  const auto queries =
+      workload::sparse_queries(workload::make_bag_of_words(corpus), 8);
+  const auto dense = queries.densify(model->module().default_evidence());
+  const auto stream = compiler::encode_sparse(queries);
+  std::vector<double> results(kSamples);
+
+  std::int64_t host_ns = 0;
+  Picoseconds virtual_ps = 0;
+  for (auto _ : state) {
+    const Picoseconds virtual_start = card.virtual_now();
+    const auto start = std::chrono::steady_clock::now();
+    card.wait(sparse ? card.submit_sparse(stream, kSamples, results)
+                     : card.submit(dense, results));
+    host_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+    virtual_ps += card.virtual_now() - virtual_start;
+    benchmark::DoNotOptimize(results.data());
+    benchmark::ClobberMemory();
+  }
+  const auto samples =
+      static_cast<double>(state.iterations()) * static_cast<double>(kSamples);
+  state.counters["host_ns_per_sample"] =
+      static_cast<double>(host_ns) / samples;
+  state.counters["virtual_samples_per_s"] = samples / to_seconds(virtual_ps);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kSamples));
+  state.SetLabel(sparse ? "sparse" : "dense");
+}
+BENCHMARK(BM_FpgaSimInfer)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Full server path: small independent requests coalesced into engine
 // batches — measures the scheduler's per-request overhead, not the math.

@@ -7,8 +7,9 @@
 // cards.
 //
 // Functional batches run through the full copy/launch/readback path of
-// InferenceRuntime::infer; measure_throughput drives the block-pipelined
-// timing path (InferenceRuntime::run), which is exactly how the Fig. 4/5/6
+// InferenceRuntime::infer, which plans each batch and streams its blocks
+// across the PEs; measure_throughput drives the fixed-block timing job
+// (InferenceRuntime::run), which is exactly how the Fig. 4/5/6
 // benchmarks measured before this layer existed — the numbers are
 // unchanged by construction.
 //
@@ -87,7 +88,7 @@ class FpgaSimEngine : public InferenceEngine {
   BatchHandle submit(std::span<const std::uint8_t> samples,
                      std::span<double> results) override;
   /// Sparse batches ride InferenceRuntime::infer_sparse: only the CSR
-  /// stream's bytes cross the PCIe DMA and the PE's HBM channel, so the
+  /// stream's bytes cross the PCIe DMA and the PEs' HBM channels, so the
   /// modelled transfer time genuinely shrinks with active-index density.
   BatchHandle submit_sparse(std::span<const std::uint8_t> stream,
                             std::size_t sample_count,

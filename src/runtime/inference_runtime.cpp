@@ -1,9 +1,10 @@
 #include "spnhbm/runtime/inference_runtime.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
+#include <cmath>
+#include <exception>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "spnhbm/compiler/sparse_evidence.hpp"
@@ -47,7 +48,39 @@ InferenceRuntime::InferenceRuntime(sim::ProcessRunner& runner,
         device_.query_config(pe, fpga::ConfigQuery::kInputFeatures);
     SPNHBM_REQUIRE(features == module_.input_features(),
                    "PE configuration does not match the compiled module");
+    pe_locks_.push_back(
+        std::make_unique<sim::Resource>(runner_.scheduler(), 1));
   }
+  pe_clock_hz_ = static_cast<double>(
+      device_.query_config(0, fpga::ConfigQuery::kClockHz));
+  // One trace track per control thread, for the runtime's lifetime (null
+  // tracks while tracing is off, like every other component's).
+  for (std::size_t pe = 0; pe < device_.pe_count(); ++pe) {
+    for (int t = 0; t < config_.threads_per_pe; ++t) {
+      tracks_.push_back(telemetry::tracer().register_track(
+          "runtime/pe" + std::to_string(pe) + ".t" + std::to_string(t),
+          telemetry::TraceClock::kVirtual));
+    }
+  }
+}
+
+std::uint64_t InferenceRuntime::plan_blocks(std::uint64_t samples) const {
+  SPNHBM_REQUIRE(samples > 0, "nothing to plan");
+  // T(k) ≈ T0 + k·o + c/k: each extra block queues one more transfer on
+  // the DMA engine ahead of the last block's compute, and the last
+  // block's compute — the part no transfer hides — shrinks as c/k.
+  const double compute_s = static_cast<double>(samples) / pe_clock_hz_;
+  const double overhead_s =
+      to_seconds(device_.dma().config().per_transfer_overhead);
+  const std::uint64_t slots =
+      device_.pe_count() * static_cast<std::uint64_t>(config_.threads_per_pe);
+  const std::uint64_t best =
+      overhead_s > 0.0 ? static_cast<std::uint64_t>(
+                             std::llround(std::sqrt(compute_s / overhead_s)))
+                       : slots;
+  const std::uint64_t fewest =
+      (samples + config_.block_samples - 1) / config_.block_samples;
+  return std::max(fewest, std::clamp<std::uint64_t>(best, 1, slots));
 }
 
 sim::Process InferenceRuntime::control_thread(std::size_t pe_index,
@@ -57,26 +90,47 @@ sim::Process InferenceRuntime::control_thread(std::size_t pe_index,
   auto& scheduler = runner_.scheduler();
   const std::uint64_t features = module_.input_features();
   constexpr std::uint64_t kResultBytes = 8;
+  const bool functional = cursor.functional();
+  const bool sparse = !cursor.sparse_offsets.empty();
+  const bool transfers = functional || config_.include_transfers;
+  const bool staging = !functional && config_.model_host_staging;
 
-  // Per-thread device buffers sized for a full block (double buffering
-  // happens across threads; each thread owns one in/out pair).
-  const std::uint64_t max_in = config_.block_samples * features;
-  const std::uint64_t max_out = config_.block_samples * kResultBytes;
-  const DeviceBuffer input_buffer(memory_, pe_index, max_in);
-  const DeviceBuffer output_buffer(memory_, pe_index, max_out);
+  // A timing run gives each thread one in/out pair sized for a full block
+  // (double buffering happens across threads); a functional block gets a
+  // pair holding exactly its own bytes.
+  std::optional<DeviceBuffer> input_buffer;
+  std::optional<DeviceBuffer> output_buffer;
+  if (!functional) {
+    input_buffer.emplace(memory_, pe_index, cursor.block_samples * features);
+    output_buffer.emplace(memory_, pe_index,
+                          cursor.block_samples * kResultBytes);
+  }
 
   for (;;) {
     if (cursor.next_block >= cursor.block_count) break;
     const std::uint64_t block = cursor.next_block++;
-    const std::uint64_t begin = block * config_.block_samples;
+    const std::uint64_t begin = block * cursor.block_samples;
     const std::uint64_t samples = std::min<std::uint64_t>(
-        config_.block_samples, cursor.total_samples - begin);
-    const std::uint64_t in_bytes = samples * features;
+        cursor.block_samples, cursor.total_samples - begin);
+    const auto input_offset = [&](std::uint64_t sample) {
+      return sparse ? 2 * sample + 3 * std::uint64_t{cursor.sparse_offsets[sample]}
+                    : sample * features;
+    };
+    const std::uint64_t in_begin = input_offset(begin);
+    const std::uint64_t in_bytes = input_offset(begin + samples) - in_begin;
     const std::uint64_t out_bytes = samples * kResultBytes;
+    if (functional) {
+      input_buffer.reset();
+      output_buffer.reset();
+      input_buffer.emplace(memory_, pe_index, in_bytes);
+      output_buffer.emplace(memory_, pe_index, out_bytes);
+    }
+    const std::uint64_t in_address = input_buffer->address();
+    const std::uint64_t out_address = output_buffer->address();
 
     auto& tracer = telemetry::tracer();
-    if (config_.include_transfers) {
-      if (config_.model_host_staging) {
+    if (transfers) {
+      if (staging) {
         // Host memcpy into the pinned DMA buffer.
         const Picoseconds span_start = scheduler.now();
         co_await sim::delay(
@@ -88,8 +142,12 @@ sim::Process InferenceRuntime::control_thread(std::size_t pe_index,
                                 scheduler.now());
       }
       const Picoseconds span_start = scheduler.now();
-      co_await device_.copy_to_device_timed(pe_index, input_buffer.address(),
-                                            in_bytes);
+      if (functional) {
+        co_await device_.copy_to_device(
+            pe_index, in_address, cursor.input.subspan(in_begin, in_bytes));
+      } else {
+        co_await device_.copy_to_device_timed(pe_index, in_address, in_bytes);
+      }
       tracer.complete_virtual(track, "h2d", span_start, scheduler.now());
     }
 
@@ -98,8 +156,14 @@ sim::Process InferenceRuntime::control_thread(std::size_t pe_index,
     co_await pe_lock.acquire();
     const Picoseconds compute_start = scheduler.now();
     try {
-      co_await device_.launch_inference(pe_index, input_buffer.address(),
-                                        output_buffer.address(), samples);
+      if (sparse) {
+        co_await device_.launch_inference_sparse(pe_index, in_address,
+                                                 out_address, samples,
+                                                 in_bytes);
+      } else {
+        co_await device_.launch_inference(pe_index, in_address, out_address,
+                                          samples);
+      }
     } catch (...) {
       pe_lock.release();
       throw;
@@ -107,12 +171,18 @@ sim::Process InferenceRuntime::control_thread(std::size_t pe_index,
     pe_lock.release();
     tracer.complete_virtual(track, "compute", compute_start, scheduler.now());
 
-    if (config_.include_transfers) {
+    if (transfers) {
       const Picoseconds span_start = scheduler.now();
-      co_await device_.copy_from_device_timed(
-          pe_index, output_buffer.address(), out_bytes);
+      if (functional) {
+        co_await device_.copy_from_device(
+            pe_index, out_address,
+            cursor.output.subspan(begin * kResultBytes, out_bytes));
+      } else {
+        co_await device_.copy_from_device_timed(pe_index, out_address,
+                                                out_bytes);
+      }
       tracer.complete_virtual(track, "d2h", span_start, scheduler.now());
-      if (config_.model_host_staging) {
+      if (staging) {
         const Picoseconds unstage_start = scheduler.now();
         co_await sim::delay(
             scheduler, static_cast<Picoseconds>(
@@ -126,40 +196,59 @@ sim::Process InferenceRuntime::control_thread(std::size_t pe_index,
   }
 }
 
+void InferenceRuntime::execute(BlockCursor& cursor) {
+  const std::size_t pes = device_.pe_count();
+  const auto per_pe = static_cast<std::size_t>(config_.threads_per_pe);
+  // A timing run starts every control thread, PE by PE. A functional job
+  // starts one thread per block at most, spread over the PEs first, so
+  // its blocks land on distinct PEs.
+  const std::size_t thread_count =
+      cursor.functional()
+          ? static_cast<std::size_t>(
+                std::min<std::uint64_t>(cursor.block_count, pes * per_pe))
+          : pes * per_pe;
+  threads_.clear();
+  for (std::size_t i = 0; i < thread_count; ++i) {
+    const std::size_t pe = cursor.functional() ? i % pes : i / per_pe;
+    const std::size_t thread = cursor.functional() ? i / pes : i % per_pe;
+    threads_.push_back(runner_.spawn(control_thread(
+        pe, cursor, *pe_locks_[pe], tracks_[pe * per_pe + thread])));
+  }
+  runner_.scheduler().run();
+  // Consume every failure, not only the first: a block that failed on one
+  // PE must not resurface as the error of the next job.
+  std::exception_ptr failure;
+  for (;;) {
+    try {
+      runner_.check();
+      break;
+    } catch (...) {
+      if (!failure) failure = std::current_exception();
+    }
+  }
+  if (failure) std::rethrow_exception(failure);
+  for (const auto& thread : threads_) {
+    SPNHBM_REQUIRE(thread.done(), "control thread did not finish");
+  }
+}
+
 RunStats InferenceRuntime::run(std::uint64_t total_samples) {
   SPNHBM_REQUIRE(total_samples > 0, "nothing to run");
-  auto& scheduler = runner_.scheduler();
-  const Picoseconds start = scheduler.now();
+  const Picoseconds start = runner_.scheduler().now();
   const std::uint64_t dma_busy_before = device_.dma().busy_time();
   const std::uint64_t dma_bytes_before =
       device_.dma().bytes_to_device() + device_.dma().bytes_to_host();
 
   BlockCursor cursor;
   cursor.total_samples = total_samples;
+  cursor.block_samples = config_.block_samples;
   cursor.block_count =
       (total_samples + config_.block_samples - 1) / config_.block_samples;
-
-  std::vector<std::unique_ptr<sim::Resource>> pe_locks;
-  std::vector<sim::Process> threads;
-  for (std::size_t pe = 0; pe < device_.pe_count(); ++pe) {
-    pe_locks.push_back(std::make_unique<sim::Resource>(scheduler, 1));
-    for (int t = 0; t < config_.threads_per_pe; ++t) {
-      const telemetry::TrackId track = telemetry::tracer().register_track(
-          "runtime/pe" + std::to_string(pe) + ".t" + std::to_string(t),
-          telemetry::TraceClock::kVirtual);
-      threads.push_back(
-          runner_.spawn(control_thread(pe, cursor, *pe_locks.back(), track)));
-    }
-  }
-  scheduler.run();
-  runner_.check();
-  for (const auto& thread : threads) {
-    SPNHBM_REQUIRE(thread.done(), "control thread did not finish");
-  }
+  execute(cursor);
 
   RunStats stats;
   stats.samples = total_samples;
-  stats.elapsed = scheduler.now() - start;
+  stats.elapsed = runner_.scheduler().now() - start;
   stats.samples_per_second =
       static_cast<double>(total_samples) / to_seconds(stats.elapsed);
   stats.blocks = cursor.block_count;
@@ -173,6 +262,28 @@ RunStats InferenceRuntime::run(std::uint64_t total_samples) {
   return stats;
 }
 
+std::vector<double> InferenceRuntime::infer_blocks(
+    std::span<const std::uint8_t> input, std::uint64_t samples,
+    std::span<const std::uint32_t> sparse_offsets) {
+  SPNHBM_REQUIRE(device_.backing_channel(0) != nullptr,
+                 "functional inference needs a platform with backing store");
+  // The PEs store each result as the host-endian bytes of a double, so
+  // the read-back lands in the result vector as is.
+  std::vector<double> results(samples);
+  const std::uint64_t blocks = plan_blocks(samples);
+  BlockCursor cursor;
+  cursor.total_samples = samples;
+  cursor.block_samples = (samples + blocks - 1) / blocks;
+  cursor.block_count =
+      (samples + cursor.block_samples - 1) / cursor.block_samples;
+  cursor.input = input;
+  cursor.output = std::span(reinterpret_cast<std::uint8_t*>(results.data()),
+                            results.size() * sizeof(double));
+  cursor.sparse_offsets = sparse_offsets;
+  execute(cursor);
+  return results;
+}
+
 std::vector<double> InferenceRuntime::infer(
     std::span<const std::uint8_t> samples) {
   const std::uint64_t features = module_.input_features();
@@ -180,65 +291,18 @@ std::vector<double> InferenceRuntime::infer(
                  "input is not a whole number of samples");
   const std::uint64_t count = samples.size() / features;
   SPNHBM_REQUIRE(count > 0, "nothing to infer");
-  SPNHBM_REQUIRE(device_.backing_channel(0) != nullptr,
-                 "functional inference needs a platform with backing store");
-
-  auto& scheduler = runner_.scheduler();
-  const DeviceBuffer input_buffer(memory_, 0, samples.size());
-  const DeviceBuffer output_buffer(memory_, 0, count * 8);
-  std::vector<std::uint8_t> raw_results(count * 8);
-
-  sim::Process job = runner_.spawn([&]() -> sim::Process {
-    co_await device_.copy_to_device(0, input_buffer.address(), samples);
-    co_await device_.launch_inference(0, input_buffer.address(),
-                                      output_buffer.address(), count);
-    co_await device_.copy_from_device(0, output_buffer.address(), raw_results);
-  });
-  scheduler.run();
-  runner_.check();
-  SPNHBM_REQUIRE(job.done(), "inference job did not finish");
-
-  std::vector<double> results(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, raw_results.data() + i * 8, 8);
-    results[i] = std::bit_cast<double>(bits);
-  }
-  return results;
+  return infer_blocks(samples, count, {});
 }
 
 std::vector<double> InferenceRuntime::infer_sparse(
     std::span<const std::uint8_t> stream, std::size_t sample_count) {
   SPNHBM_REQUIRE(sample_count > 0, "nothing to infer");
-  SPNHBM_REQUIRE(device_.backing_channel(0) != nullptr,
-                 "functional inference needs a platform with backing store");
   // Validate on the host before any bytes move: a malformed stream must
-  // fail here, not inside the device.
-  compiler::decode_sparse(stream, module_.input_features(), sample_count);
-
-  auto& scheduler = runner_.scheduler();
-  const DeviceBuffer input_buffer(memory_, 0, stream.size());
-  const DeviceBuffer output_buffer(memory_, 0, sample_count * 8);
-  std::vector<std::uint8_t> raw_results(sample_count * 8);
-
-  sim::Process job = runner_.spawn([&]() -> sim::Process {
-    co_await device_.copy_to_device(0, input_buffer.address(), stream);
-    co_await device_.launch_inference_sparse(
-        0, input_buffer.address(), output_buffer.address(), sample_count,
-        stream.size());
-    co_await device_.copy_from_device(0, output_buffer.address(), raw_results);
-  });
-  scheduler.run();
-  runner_.check();
-  SPNHBM_REQUIRE(job.done(), "inference job did not finish");
-
-  std::vector<double> results(sample_count);
-  for (std::size_t i = 0; i < sample_count; ++i) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, raw_results.data() + i * 8, 8);
-    results[i] = std::bit_cast<double>(bits);
-  }
-  return results;
+  // fail here, not inside the device. The decode's offsets also give
+  // every sample's byte position, where blocks may be cut.
+  const compiler::SparseBatch batch =
+      compiler::decode_sparse(stream, module_.input_features(), sample_count);
+  return infer_blocks(stream, sample_count, batch.offsets);
 }
 
 }  // namespace spnhbm::runtime
