@@ -1,7 +1,10 @@
 #include "spnhbm/engine/engine.hpp"
 
+#include <algorithm>
+
 #include "spnhbm/compiler/datapath.hpp"
 #include "spnhbm/compiler/sparse_evidence.hpp"
+#include "spnhbm/engine/service.hpp"
 #include "spnhbm/util/strings.hpp"
 #include "spnhbm/util/units.hpp"
 
@@ -30,6 +33,30 @@ std::pair<std::string, std::string> split_lane_ref(const std::string& ref) {
   std::string suffix = ref.substr(hash);
   if (suffix != "#marginal" && suffix != "#mpe") return {ref, ""};
   return {ref.substr(0, hash), std::move(suffix)};
+}
+
+LaneRefMatch resolve_lane_ref(const std::string& ref,
+                              const std::vector<std::string>& ids) {
+  if (std::find(ids.begin(), ids.end(), ref) != ids.end()) return {ref, ""};
+  const auto [base, suffix] = split_lane_ref(ref);
+  std::vector<std::string> matches;
+  for (const std::string& id : ids) {
+    const auto [id_base, id_suffix] = split_lane_ref(id);
+    if (id_suffix != suffix) continue;
+    const std::size_t at = id_base.rfind('@');
+    if (at != std::string::npos && id_base.substr(0, at) == base) {
+      matches.push_back(id);
+    }
+  }
+  if (matches.size() == 1) return {matches.front(), ""};
+  if (matches.empty()) return {"", "unknown model: " + ref};
+  std::string candidates;
+  for (const std::string& id : matches) {
+    candidates += candidates.empty() ? id : ", " + id;
+  }
+  return {"", "model reference '" + ref +
+                  "' is ambiguous; use name@version (candidates: " +
+                  candidates + ")"};
 }
 
 std::string EngineStats::describe() const {

@@ -11,9 +11,9 @@
 //     once the oldest queued request of its lane has waited max_latency
 //     (the tail-latency bound),
 //   * dispatches batches across the engines currently serving that model,
-//     round-robin or by least expected completion time (outstanding work
-//     divided by measured throughput, falling back to the engine's
-//     nominal claim),
+//     round-robin (one cursor per model) or by least expected completion
+//     time (outstanding work divided by measured throughput, falling
+//     back to the engine's nominal claim),
 //   * scatters batch results back into per-request futures; a request
 //     split across batches — possibly landing on different engines —
 //     resolves when its last slice completes.
@@ -420,6 +420,8 @@ class InferenceServer : public InferenceService {
     /// artifact carries tuning registers (or activates) into the lane.
     std::size_t batch_samples = 0;
     std::chrono::microseconds max_latency{0};
+    /// Engine slot the lane's next round-robin pick starts from.
+    std::size_t round_robin_next = 0;
     std::shared_ptr<telemetry::Counter> ctr_requests;
     std::shared_ptr<telemetry::Counter> ctr_samples;
     std::shared_ptr<telemetry::Counter> ctr_batches;
@@ -575,7 +577,6 @@ class InferenceServer : public InferenceService {
   /// Batches formed but not yet permanently finished (in a worker queue,
   /// executing, or awaiting retry). stop() drains until this reaches 0.
   std::size_t pending_batches_ = 0;
-  std::size_t round_robin_next_ = 0;
   bool started_ = false;
   bool stopping_ = false;
   bool workers_stopping_ = false;

@@ -5,9 +5,9 @@
 // are routed across a fleet of devices — they need exactly four things:
 // which models are served, each model's input width, the current
 // backpressure quantity, and a non-blocking submit. This interface is
-// that seam. engine::InferenceServer implements it directly (one device
-// group, local dispatch); fleet::FleetRouter implements it by routing
-// each request to one of its member servers.
+// that seam. engine::InferenceServer implements it directly;
+// fleet::FleetRouter forwards the data plane to the one InferenceServer
+// its device tenants register in and answers the replica map itself.
 //
 // Contract notes, shared by every implementation:
 //   * try_submit never blocks: a full queue returns std::nullopt (the
@@ -57,6 +57,24 @@ std::string lane_id_for(const std::string& model_id,
 /// so '#' elsewhere in an id stays part of the base.
 std::pair<std::string, std::string> split_lane_ref(const std::string& ref);
 
+/// A lane reference resolved against the served lane ids.
+struct LaneRefMatch {
+  /// The lane id the reference names; empty when `error` is set.
+  std::string id;
+  /// Why the reference names no single lane (unknown, or ambiguous with
+  /// the candidates listed); empty on success. Callers raise it as their
+  /// own error type.
+  std::string error;
+};
+
+/// Resolves `ref` against the served lane ids `ids` (ascending): `ref`
+/// itself when it is a served id, else the one id "<ref>@<version>" with
+/// the same query-kind suffix ("m" names a joint lane, "m#marginal" a
+/// marginal one). Callers on a per-request path test for an exact id
+/// before they collect `ids`.
+LaneRefMatch resolve_lane_ref(const std::string& ref,
+                              const std::vector<std::string>& ids);
+
 class InferenceService {
  public:
   virtual ~InferenceService() = default;
@@ -75,29 +93,18 @@ class InferenceService {
 
   /// Trace-carrying submit: same contract, but the request's
   /// TraceContext rides along so the service's spans join the request's
-  /// flow chain. The default drops the context (services predating the
-  /// tracing layer keep working unchanged).
+  /// flow chain.
   virtual std::optional<std::future<std::vector<double>>> try_submit(
       const std::string& model, std::vector<std::uint8_t> samples,
-      const telemetry::TraceContext& trace) {
-    (void)trace;
-    return try_submit(model, std::move(samples));
-  }
+      const telemetry::TraceContext& trace) = 0;
 
   /// Non-blocking sparse submit: `stream` is the CSR evidence stream of
   /// compiler/sparse_evidence.hpp covering `sample_count` samples; absent
   /// variables read the model's default evidence. Same nullopt/throw
-  /// contract as try_submit, plus ParseError for a malformed stream. The
-  /// default rejects: services predating sparse evidence keep compiling.
+  /// contract as try_submit, plus ParseError for a malformed stream.
   virtual std::optional<std::future<std::vector<double>>> try_submit_sparse(
       const std::string& model, std::vector<std::uint8_t> stream,
-      std::size_t sample_count, const telemetry::TraceContext& trace = {}) {
-    (void)stream;
-    (void)sample_count;
-    (void)trace;
-    throw RuntimeApiError("service does not accept sparse evidence for '" +
-                          model + "'");
-  }
+      std::size_t sample_count, const telemetry::TraceContext& trace = {}) = 0;
 
   // --- Live-introspection hooks (the ADMIN plane) ------------------------
   /// Per-engine health lines ("engine 0 [fpga0] model=a@1 health=healthy

@@ -312,31 +312,12 @@ void InferenceServer::stop() {
 std::string InferenceServer::resolve_model_locked(
     const std::string& ref) const {
   if (lanes_.count(ref) > 0) return ref;
-  // Bare model name, optionally kind-suffixed ("m", "m#marginal"): unique
-  // match over lane ids of the *same* query kind, so "m" still resolves
-  // to the joint lane even when marginal/MPE lanes of m are served too.
-  const auto [base, suffix] = split_lane_ref(ref);
-  std::vector<std::string> matches;
-  for (const auto& [id, lane] : lanes_) {
-    (void)lane;
-    const auto [id_base, id_suffix] = split_lane_ref(id);
-    if (id_suffix != suffix) continue;
-    const std::size_t at = id_base.rfind('@');
-    if (at != std::string::npos && id_base.substr(0, at) == base) {
-      matches.push_back(id);  // lanes_ is ordered: candidates come sorted
-    }
-  }
-  if (matches.size() == 1) return matches.front();
-  if (matches.size() > 1) {
-    std::string candidates;
-    for (const std::string& id : matches) {
-      candidates += candidates.empty() ? id : ", " + id;
-    }
-    throw RuntimeApiError("model reference '" + ref +
-                          "' is ambiguous; use name@version (candidates: " +
-                          candidates + ")");
-  }
-  throw RuntimeApiError("unknown model: " + ref);
+  std::vector<std::string> ids;
+  ids.reserve(lanes_.size());
+  for (const auto& [id, lane] : lanes_) ids.push_back(id);
+  LaneRefMatch match = resolve_lane_ref(ref, ids);
+  if (!match.error.empty()) throw RuntimeApiError(match.error);
+  return std::move(match.id);
 }
 
 std::string InferenceServer::default_model_locked() const {
@@ -813,17 +794,31 @@ std::size_t InferenceServer::pick_engine_locked(const Batch& batch) {
     return worker_active(worker) && !worker.pending_activation &&
            worker.model_id == batch.model;
   };
+  const auto probe_due = [&](std::size_t i) {
+    const auto& worker = *workers_[i];
+    return worker.health == EngineHealth::kQuarantined &&
+           !worker.probe_in_flight && now >= worker.quarantined_until;
+  };
+  // A retried batch avoids the engine it just failed on whenever another
+  // engine of its model could take it, as a regular batch or as a probe.
+  // With no other engine the retry is that engine's probe, so a lane whose
+  // only engine is quarantined still recovers.
+  bool have_other = false;
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    if (!serves(i) || i == batch.last_worker) continue;
+    if (workers_[i]->health != EngineHealth::kQuarantined || probe_due(i)) {
+      have_other = true;
+    }
+  }
+  const bool exclude_last = batch.attempts > 0 && have_other;
   // Circuit-breaker probes take precedence: a due probe is the only way a
   // quarantined engine can prove itself again, and one batch of delay on
   // the happy path is the price of detecting recovery.
   std::size_t probe = kNoWorker;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    if (!serves(i)) continue;
+    if (!serves(i) || !probe_due(i)) continue;
+    if (exclude_last && i == batch.last_worker) continue;
     const auto& worker = *workers_[i];
-    if (worker.health != EngineHealth::kQuarantined ||
-        worker.probe_in_flight || now < worker.quarantined_until) {
-      continue;
-    }
     if (probe == kNoWorker ||
         worker.quarantined_until < workers_[probe]->quarantined_until) {
       probe = i;
@@ -852,21 +847,24 @@ std::size_t InferenceServer::pick_engine_locked(const Batch& batch) {
     return serves(i) && worker.health != EngineHealth::kQuarantined &&
            worker.priority == best_tier;
   };
-  // Failover: a retried batch avoids the engine it just failed on when
-  // another eligible engine exists.
-  bool have_other = false;
+  // Failover: the regular pick avoids the engine a retry just failed on
+  // too, unless it is the only eligible one of this tier.
+  bool tier_has_other = false;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    if (eligible(i) && i != batch.last_worker) have_other = true;
+    if (eligible(i) && i != batch.last_worker) tier_has_other = true;
   }
-  const bool exclude_last = batch.attempts > 0 && have_other;
+  const bool avoid_last = batch.attempts > 0 && tier_has_other;
   const auto allowed = [&](std::size_t i) {
-    return eligible(i) && !(exclude_last && i == batch.last_worker);
+    return eligible(i) && !(avoid_last && i == batch.last_worker);
   };
   if (config_.policy == DispatchPolicy::kRoundRobin || workers_.size() == 1) {
+    // Each lane keeps its own cursor, so interleaved batches of another
+    // model cannot keep sending this model's batches to the same engine.
+    std::size_t& cursor = lanes_.at(batch.model).round_robin_next;
     for (std::size_t step = 0; step < workers_.size(); ++step) {
-      const std::size_t index = (round_robin_next_ + step) % workers_.size();
+      const std::size_t index = (cursor + step) % workers_.size();
       if (!allowed(index)) continue;
-      round_robin_next_ = (index + 1) % workers_.size();
+      cursor = (index + 1) % workers_.size();
       return index;
     }
     return kNoWorker;

@@ -1,5 +1,6 @@
 #include "spnhbm/rpc/client.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 
@@ -30,26 +31,19 @@ std::uint32_t dense_sample_count(const ServerInfo& info,
 }  // namespace
 
 std::uint32_t ServerInfo::input_features(const std::string& ref) const {
-  const ModelInfo* match = nullptr;
-  // Advertised ids are lane ids — "name@version" plus an optional
-  // query-kind suffix ("#marginal"/"#mpe"). A bare-name ref matches only
-  // within its own suffix, so "m" stays unambiguous when the server also
-  // hosts "m@1#marginal".
-  const auto [base, suffix] = engine::split_lane_ref(ref);
-  for (const ModelInfo& model : models) {
-    if (model.id == ref) return model.input_features;
-    const auto [id_base, id_suffix] = engine::split_lane_ref(model.id);
-    if (id_suffix != suffix) continue;
-    const std::size_t at = id_base.rfind('@');
-    if (at != std::string::npos && id_base.substr(0, at) == base) {
-      if (match != nullptr) {
-        throw RpcError("model reference '" + ref + "' is ambiguous");
-      }
-      match = &model;
-    }
+  const auto find = [&](const std::string& id) {
+    return std::find_if(models.begin(), models.end(),
+                        [&](const ModelInfo& model) { return model.id == id; });
+  };
+  if (const auto it = find(ref); it != models.end()) {
+    return it->input_features;
   }
-  if (match == nullptr) throw RpcError("server hosts no model '" + ref + "'");
-  return match->input_features;
+  std::vector<std::string> ids;
+  ids.reserve(models.size());
+  for (const ModelInfo& model : models) ids.push_back(model.id);
+  const engine::LaneRefMatch match = engine::resolve_lane_ref(ref, ids);
+  if (!match.error.empty()) throw RpcError(match.error);
+  return find(match.id)->input_features;
 }
 
 HelloFrame receive_hello(Socket& socket) {

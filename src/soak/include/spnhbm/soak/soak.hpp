@@ -22,13 +22,17 @@
 // independent of the host's wall clock and of whether chaos is armed.
 //
 // After the last wave the injector is disarmed and a bounded convergence
-// phase drives probe traffic until no engine is left quarantined or
-// degraded. Then the harness asserts the full identity stack:
+// phase drives probe traffic through the fleet until no engine is left
+// quarantined or degraded. Then the harness asserts the full identity
+// stack:
 //
 //   client books     sent == ok + give-ups            (per client, summed)
 //   rpc server       received == accepted + rejected + shed + duplicates
 //                    accepted == completed + failed
-//   fleet router     routed == accepted + rejected
+//   fleet server     requests == rpc accepted + accepted convergence
+//                    submits (the two layers count the same requests)
+//   duplicates       rpc duplicates <= client retries (a replayed answer
+//                    is always a real client retry)
 //   health           every live engine back to healthy
 //   zero leaks       no outstanding requests, no open connections,
 //                    no queued samples
@@ -108,19 +112,20 @@ struct SoakReport {
   std::uint64_t reconnects = 0;
   std::uint64_t duplicates = 0;
   std::uint64_t quarantines = 0;
-  std::uint64_t health_skips = 0;
   double wall_seconds = 0.0;
 
   /// The assertion stack.
   bool client_books_ok = false;
   bool server_conserved = false;
   bool fleet_conserved = false;
+  bool duplicates_retried = false;
   bool health_converged = false;
   bool drained = false;
 
   bool passed() const {
     return client_books_ok && server_conserved && fleet_conserved &&
-           health_converged && drained && requests == ok + giveups;
+           duplicates_retried && health_converged && drained &&
+           requests == ok + giveups;
   }
   /// Deterministic summary: same seed (and same armed plan) => same
   /// bytes. Goes to stdout.

@@ -208,50 +208,48 @@ SoakReport run_soak(const SoakConfig& config) {
   report.waves = wave;
   report.swaps = swap_counter;
 
-  // --- Convergence phase: chaos off, then drive probe traffic straight
-  // at every member still holding an unhealthy engine until the health
-  // state machine settles. Direct member submits deliberately bypass the
-  // router's first-pass health skip — a starving quarantined engine
-  // would otherwise never see the probe batch that rehabilitates it.
+  // --- Convergence phase: chaos off, then drive probe traffic through
+  // the fleet for every model that still has an unhealthy engine until
+  // the health state machine settles. The fleet's server offers a due
+  // probe the next batch of the engine's lane, so the fleet's own traffic
+  // is what readmits a quarantined replica.
   fault::injector().disarm();
+  engine::InferenceServer& server = router.server();
   const auto all_healthy = [&]() {
-    for (std::size_t m = 0; m < router.member_count(); ++m) {
-      const engine::InferenceServer& server = router.server(m);
-      for (std::size_t e = 0; e < server.engine_count(); ++e) {
-        if (server.engine_retired(e)) continue;
-        if (server.engine_health(e) != engine::EngineHealth::kHealthy) {
-          return false;
-        }
+    for (std::size_t e = 0; e < server.engine_count(); ++e) {
+      if (server.engine_retired(e)) continue;
+      if (server.engine_health(e) != engine::EngineHealth::kHealthy) {
+        return false;
       }
     }
     return true;
   };
+  std::uint64_t convergence_accepted = 0;
   const auto convergence_deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(
                              config.convergence_wall_seconds));
   while (!all_healthy() && Clock::now() < convergence_deadline) {
-    for (std::size_t m = 0; m < router.member_count(); ++m) {
-      engine::InferenceServer& server = router.server(m);
-      for (std::size_t e = 0; e < server.engine_count(); ++e) {
-        if (server.engine_retired(e)) continue;
-        if (server.engine_health(e) == engine::EngineHealth::kHealthy) {
-          continue;
-        }
-        const std::string model_id = server.engine_model(e);
-        for (const SoakModel& entry : config.models) {
-          if (entry.model->id() != model_id) continue;
-          auto future = server.try_submit(model_id, entry.payloads.front());
-          report.convergence_requests += 1;
+    for (std::size_t e = 0; e < server.engine_count(); ++e) {
+      if (server.engine_retired(e) ||
+          server.engine_health(e) == engine::EngineHealth::kHealthy) {
+        continue;
+      }
+      const std::string model_id = server.engine_model(e);
+      for (const SoakModel& entry : config.models) {
+        if (entry.model->id() != model_id) continue;
+        report.convergence_requests += 1;
+        try {
+          auto future = router.try_submit(model_id, entry.payloads.front());
           if (future.has_value()) {
-            try {
-              future->get();
-            } catch (const std::exception&) {
-              // A failed probe backs the interval off; keep driving.
-            }
+            convergence_accepted += 1;
+            future->get();
           }
-          break;
+        } catch (const std::exception&) {
+          // No probe due yet, or a failed probe that backed the interval
+          // off; keep driving.
         }
+        break;
       }
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -280,7 +278,7 @@ SoakReport run_soak(const SoakConfig& config) {
 
   // --- Books.
   const rpc::RpcServerStats rpc_stats = rpc_server.stats();
-  const fleet::FleetStats fleet_stats = router.stats();
+  const engine::ServerStats server_stats = server.stats();
   report.seed = config.seed;
   report.virtual_target_seconds = target_seconds;
   report.devices = config.devices;
@@ -293,15 +291,12 @@ SoakReport run_soak(const SoakConfig& config) {
   report.giveups = giveups.load();
   report.digest = digest.load();
   report.duplicates = rpc_stats.duplicates;
-  report.health_skips = fleet_stats.health_skips;
-  for (std::size_t m = 0; m < router.member_count(); ++m) {
-    report.quarantines += router.server(m).stats().quarantines;
-  }
+  report.quarantines = server_stats.quarantines;
   report.client_books_ok = report.requests == report.ok + report.giveups;
   report.server_conserved = rpc_stats.conserved();
   report.fleet_conserved =
-      fleet_stats.routed_requests ==
-      fleet_stats.accepted_requests + fleet_stats.rejected_requests;
+      server_stats.requests == rpc_stats.accepted + convergence_accepted;
+  report.duplicates_retried = report.duplicates <= report.retries;
   report.wall_seconds =
       std::chrono::duration<double>(Clock::now() - wall_start).count();
   return report;
@@ -333,8 +328,13 @@ std::string SoakReport::describe() const {
       "  server conservation (received == accepted + rejected + shed + "
       "duplicates): %s\n",
       verdict(server_conserved));
-  out += strformat("  fleet conservation (routed == accepted + rejected): %s\n",
-                   verdict(fleet_conserved));
+  out += strformat(
+      "  fleet conservation (fleet requests == rpc accepted + convergence "
+      "accepted): %s\n",
+      verdict(fleet_conserved));
+  out += strformat("  duplicates retried (rpc duplicates <= client retries): "
+                   "%s\n",
+                   verdict(duplicates_retried));
   out += strformat("  health converged (every engine healthy): %s\n",
                    yesno(health_converged));
   out += strformat("  drained (zero outstanding, zero connections): %s\n",
@@ -346,12 +346,11 @@ std::string SoakReport::describe() const {
 std::string SoakReport::detail() const {
   return strformat(
       "soak detail: wall=%.1fs retries=%llu reconnects=%llu duplicates=%llu "
-      "quarantines=%llu health_skips=%llu convergence_requests=%llu\n",
+      "quarantines=%llu convergence_requests=%llu\n",
       wall_seconds, static_cast<unsigned long long>(retries),
       static_cast<unsigned long long>(reconnects),
       static_cast<unsigned long long>(duplicates),
       static_cast<unsigned long long>(quarantines),
-      static_cast<unsigned long long>(health_skips),
       static_cast<unsigned long long>(convergence_requests));
 }
 
@@ -377,7 +376,6 @@ std::string SoakReport::bench_json() const {
   w.key("reconnects").value(reconnects);
   w.key("duplicates").value(duplicates);
   w.key("quarantines").value(quarantines);
-  w.key("health_skips").value(health_skips);
   w.key("wall_seconds").value(wall_seconds);
   w.key("passed").value(passed() ? 1 : 0);
   w.end_object();

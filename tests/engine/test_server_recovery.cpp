@@ -201,6 +201,72 @@ TEST(ServerRecovery, QuarantinedTierFailsOverToLowerPriorityEngine) {
   EXPECT_EQ(server.stats().failed_requests, 0u);
 }
 
+TEST(ServerRecovery, RetryIsNotSpentProbingTheEngineItJustFailedOn) {
+  // Engine A fails every submit, engine B works. With a zero probe
+  // interval A's probe is due the moment A is quarantined, so a retry
+  // that has just failed on A would go straight back to A as the probe
+  // and burn its whole budget there. The retry must fail over to B
+  // instead; fresh batches still probe A.
+  MockEngine::Config broken_config;
+  broken_config.fail = true;
+  broken_config.name = "broken";
+  auto broken = std::make_shared<MockEngine>(broken_config);
+  auto good = std::make_shared<MockEngine>();
+  engine::ServerConfig config;
+  config.batch_samples = 4;
+  config.retry.max_attempts = 3;
+  config.retry.backoff_base = std::chrono::microseconds(100);
+  config.health.probe_interval = std::chrono::microseconds(0);
+  engine::InferenceServer server(config);
+  server.register_engine(broken);
+  server.register_engine(good);
+  server.start();
+
+  for (std::size_t r = 0; r < 8; ++r) {
+    const auto request = make_request(4, static_cast<std::uint8_t>(r * 16));
+    auto future = server.submit(request);
+    expect_encoded(request, future.get());
+  }
+  server.stop();
+
+  const engine::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.failed_requests, 0u);
+  EXPECT_EQ(stats.quarantines, 1u);
+  EXPECT_GE(stats.probes, 1u);
+  EXPECT_EQ(stats.failovers, stats.batch_retries);
+  EXPECT_EQ(good->stats().samples, 32u);
+}
+
+TEST(ServerRecovery, RetryProbesTheOnlyEngineOfItsLane) {
+  // One engine, failing its first three submits: the third failure
+  // quarantines it mid-retry. With no other engine to fail over to, the
+  // last attempt is the probe on the same engine, which succeeds and
+  // readmits it.
+  MockEngine::Config mock_config;
+  mock_config.fail_first_n = 3;
+  auto mock = std::make_shared<MockEngine>(mock_config);
+  engine::ServerConfig config;
+  config.retry.max_attempts = 4;
+  config.retry.backoff_base = std::chrono::microseconds(50);
+  config.health.quarantine_after = 3;
+  config.health.probe_interval = std::chrono::microseconds(0);
+  engine::InferenceServer server(config);
+  server.register_engine(mock);
+  server.start();
+
+  const auto request = make_request(2, 30);
+  auto future = server.submit(request);
+  expect_encoded(request, future.get());
+  server.stop();
+
+  EXPECT_EQ(mock->submit_calls(), 4u);
+  EXPECT_EQ(server.engine_health(0), engine::EngineHealth::kHealthy);
+  const engine::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.probes, 1u);
+  EXPECT_EQ(stats.readmissions, 1u);
+  EXPECT_EQ(stats.failed_requests, 0u);
+}
+
 TEST(ServerRecovery, DeadlineExpiryResolvesFuturesWithDeadlineError) {
   // A gated engine holds the first batch in flight; the per-request
   // deadline must settle both the dispatched and the still-queued request

@@ -1,6 +1,7 @@
-// The sharded fleet router: replicas placed across N simulated devices,
-// round-robin routing with failover on a full member queue, conservation
-// identities end to end, and the telemetry-driven rebalancer scaling hot
+// The fleet: replicas placed across N simulated devices, every tenant
+// engine registered in the fleet's one InferenceServer, its books and
+// queue bound covering the whole fleet, quarantined replicas readmitted by
+// the fleet's own traffic, and the telemetry-driven rebalancer scaling hot
 // models up and cold models down.
 #include "spnhbm/fleet/router.hpp"
 
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "spnhbm/fault/fault.hpp"
 #include "spnhbm/fpga/resource_model.hpp"
 #include "spnhbm/model/artifact.hpp"
 #include "spnhbm/util/rng.hpp"
@@ -94,66 +96,102 @@ TEST(FleetRouter, RoutesMixedTrafficAcrossDevicesAndConserves) {
   }
   router.stop();
 
-  // Conservation: every routed request was accepted by exactly one
-  // member, and the members' own accounting agrees with the router's.
-  const auto stats = router.stats();
-  EXPECT_EQ(stats.routed_requests, 16u);
-  EXPECT_EQ(stats.accepted_requests + stats.rejected_requests,
-            stats.routed_requests);
-  EXPECT_EQ(stats.rejected_requests, 0u);
-  EXPECT_EQ(stats.accepted_samples, 32u);
-  std::uint64_t member_requests = 0;
-  std::uint64_t member_samples = 0;
-  std::uint64_t member_failed = 0;
-  for (std::size_t m = 0; m < router.member_count(); ++m) {
-    const auto member_stats = router.server(m).stats();
-    member_requests += member_stats.requests;
-    member_samples += member_stats.samples;
-    member_failed += member_stats.failed_requests;
-  }
-  EXPECT_EQ(member_requests, stats.accepted_requests);
-  EXPECT_EQ(member_samples, stats.accepted_samples);
-  EXPECT_EQ(member_failed, 0u);
-  // Both NIPS10 replicas saw traffic: round-robin spreads the lane.
-  EXPECT_GT(router.server(r0.member).stats().requests, 0u);
-  EXPECT_GT(router.server(r1.member).stats().requests, 0u);
+  // One server holds every tenant, labelled "<device>/<partition>", and
+  // its books count every request the fleet accepted.
+  engine::InferenceServer& server = router.server();
+  EXPECT_EQ(server.engine_count(), 3u);
+  EXPECT_EQ(server.engine_device(r0.engine_index),
+            router.device(r0.member).name() + "/" + r0.partition);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.requests, 16u);
+  EXPECT_EQ(stats.samples, 32u);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.failed_requests, 0u);
+  // Both NIPS10 replicas saw traffic: the lane's round-robin spreads it,
+  // however the NIPS20 batches interleave.
+  EXPECT_GT(server.dispatched_samples(r0.engine_index), 0u);
+  EXPECT_GT(server.dispatched_samples(r1.engine_index), 0u);
 }
 
-TEST(FleetRouter, FailsOverToAnotherReplicaWhenAMemberQueueIsFull) {
+TEST(FleetRouter, OneQueueBoundCoversTheWholeFleet) {
   auto nips10 = nips_artifact(10);
   auto config = quick_fleet(2);
-  // Tiny per-member queue bound: 4 samples fill a member.
   config.server.max_queue_samples = 4;
   fleet::FleetRouter router(config);
   router.deploy(nips10);
   router.deploy(nips10);
 
   // Before start() nothing drains, so admission is deterministic: the
-  // first request fills one member, the second fails over to the other,
-  // the third finds every replica full and is rejected.
+  // first request fills the fleet's bound, and the second is rejected
+  // although the other device hosts an idle replica.
   Rng rng(31);
-  std::vector<std::vector<std::uint8_t>> requests;
-  std::vector<std::future<std::vector<double>>> futures;
-  for (int r = 0; r < 3; ++r) {
-    requests.push_back(random_rows(rng, 4, 10));
-    auto future = router.try_submit("NIPS10@1", requests.back());
-    if (r < 2) {
-      ASSERT_TRUE(future.has_value()) << "request " << r;
-      futures.push_back(std::move(*future));
-    } else {
-      EXPECT_FALSE(future.has_value());
-    }
-  }
-  const auto before = router.stats();
-  EXPECT_EQ(before.routed_requests, 3u);
-  EXPECT_EQ(before.accepted_requests, 2u);
-  EXPECT_EQ(before.rejected_requests, 1u);
+  const auto first = random_rows(rng, 4, 10);
+  auto accepted = router.try_submit("NIPS10@1", first);
+  ASSERT_TRUE(accepted.has_value());
+  EXPECT_FALSE(router.try_submit("NIPS10@1", random_rows(rng, 1, 10)));
+  EXPECT_EQ(router.outstanding_samples(), 4u);
+  EXPECT_EQ(router.server().stats().rejected, 1u);
 
   router.start();
-  for (std::size_t r = 0; r < futures.size(); ++r) {
-    expect_reference(nips10, requests[r], futures[r].get());
-  }
+  expect_reference(nips10, first, accepted->get());
   router.stop();
+}
+
+TEST(FleetRouter, QuarantinedReplicaIsReadmittedByFleetTraffic) {
+  auto nips10 = nips_artifact(10);
+  auto config = quick_fleet(2);
+  // A quarantined engine's probe is due at once, so the test needs no
+  // sleeps: the next batch of its lane is the probe.
+  config.server.health.probe_interval = std::chrono::microseconds(0);
+  fleet::FleetRouter router(config);
+  const auto r0 = router.deploy(nips10);
+  const auto r1 = router.deploy(nips10);
+  ASSERT_NE(r0.member, r1.member);
+  engine::InferenceServer& server = router.server();
+  router.start();
+
+  Rng rng(53);
+  const auto serve_one = [&] {
+    const auto samples = random_rows(rng, 2, 10);
+    auto future = router.try_submit("NIPS10@1", samples);
+    ASSERT_TRUE(future.has_value());
+    expect_reference(nips10, samples, future->get());
+  };
+  {
+    // Replica 0 fails every submit; its batches fail over to replica 1
+    // until the health machine quarantines it. A failure is booked
+    // before the retry that resolves the request, so health is current
+    // once the future is.
+    fault::FaultPlan plan;
+    fault::FaultRule rule;
+    rule.site = "engine.submit";
+    rule.instance = server.engine(r0.engine_index).capabilities().name;
+    rule.every = 1;
+    plan.rules.push_back(rule);
+    fault::ScopedFaultPlan armed(plan);
+    for (int r = 0; r < 64 && server.engine_health(r0.engine_index) !=
+                                   engine::EngineHealth::kQuarantined;
+         ++r) {
+      serve_one();
+    }
+    ASSERT_EQ(server.engine_health(r0.engine_index),
+              engine::EngineHealth::kQuarantined);
+  }
+
+  // Disarmed: the fleet's own traffic carries the probe that readmits
+  // replica 0, and the lane spreads over both devices again.
+  const std::uint64_t before = server.dispatched_samples(r0.engine_index);
+  for (int r = 0; r < 16; ++r) serve_one();
+  router.stop();
+
+  EXPECT_EQ(server.engine_health(r0.engine_index),
+            engine::EngineHealth::kHealthy);
+  EXPECT_GT(server.dispatched_samples(r0.engine_index), before);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.quarantines, 1u);
+  EXPECT_GE(stats.probes, 1u);
+  EXPECT_EQ(stats.readmissions, 1u);
+  EXPECT_EQ(stats.failed_requests, 0u);
 }
 
 TEST(FleetRouter, RebalanceScalesHotModelsUpAndColdModelsDown) {
@@ -213,8 +251,10 @@ TEST(FleetRouter, RebalanceScalesHotModelsUpAndColdModelsDown) {
   const auto stats = router.stats();
   EXPECT_EQ(stats.deployments, 4u);
   EXPECT_EQ(stats.undeployments, 1u);
-  EXPECT_EQ(stats.accepted_requests + stats.rejected_requests,
-            stats.routed_requests);
+  // The retired replica's slot stays in the server, marked retired.
+  EXPECT_EQ(router.server().engine_count(), 4u);
+  EXPECT_EQ(router.server().stats().requests, 22u);
+  EXPECT_EQ(router.server().stats().failed_requests, 0u);
 }
 
 TEST(FleetRouter, PlacementDeficitsPropagateAndLeaveTheFleetUnchanged) {

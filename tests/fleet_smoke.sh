@@ -5,13 +5,15 @@
 #      structured per-resource deficit table (not a bare boolean),
 #   2. start `spnhbm serve --fleet-devices 2` with two models, two
 #      replicas each, behind one RPC endpoint; read the ephemeral port,
-#   3. remote inference through the fleet router must be byte-identical
-#      to the local engine path, for both models,
+#   3. remote inference through the fleet must be byte-identical to the
+#      local engine path, for both models,
 #   4. replay a weighted mixed-model open-loop load (a:3, b:1) while the
 #      telemetry-driven rebalancer runs, check the client conservation
 #      summary and the per-model split in the report,
-#   5. shut down via the wire frame; the fleet report must show the
-#      router's own conservation line.
+#   5. shut down via the wire frame; the report of the fleet's one server
+#      must list the tenants of both devices as engines,
+#   6. a fleet without --listen replays a CSV locally, byte-identical to
+#      the local engine path.
 #
 # Usage: fleet_smoke.sh <spnhbm-cli> <model.spn> <samples.csv> <work-dir> \
 #                       <model2.spn> <samples2.csv>
@@ -56,7 +58,7 @@ done
 PORT=$(cat "$PORT_FILE")
 echo "fleet listening on port $PORT"
 
-# Remote inference through the router vs the local single-tenant FPGA
+# Remote inference through the fleet vs the local single-tenant FPGA
 # path: the spatial tenants must be byte-identical to it.
 "$CLI" infer "$MODEL" "$SAMPLES" --engine fpga > "$WORK/fleet_smoke.local_a.out"
 "$CLI" infer "$MODEL2" "$SAMPLES2" --engine fpga > "$WORK/fleet_smoke.local_b.out"
@@ -69,11 +71,11 @@ diff "$WORK/fleet_smoke.local_b.out" "$WORK/fleet_smoke.remote_b.out"
 echo "fleet remote inference matches local inference"
 
 # Live introspection over the same endpoint: one ADMIN snapshot showing
-# every member's engines and the fleet replica map.
+# the tenant engines of both devices and the fleet replica map.
 "$CLI" top --connect "127.0.0.1:$PORT" --once > "$WORK/fleet_smoke.top.out"
 cat "$WORK/fleet_smoke.top.out"
-grep -q "member 0" "$WORK/fleet_smoke.top.out"
-grep -q "member 1" "$WORK/fleet_smoke.top.out"
+grep -q "\[fpga0/" "$WORK/fleet_smoke.top.out"
+grep -q "\[fpga1/" "$WORK/fleet_smoke.top.out"
 grep -q "replicas" "$WORK/fleet_smoke.top.out"
 grep -q -- "-> member" "$WORK/fleet_smoke.top.out"
 echo "top renders the fleet ADMIN snapshot"
@@ -107,12 +109,25 @@ fi
 wait "$SERVER_PID" || { echo "fleet exited non-zero:"; cat "$SERVER_OUT"; exit 1; }
 trap - EXIT
 
-# The fleet report: router header, per-member blocks and the router's
-# conservation counters.
+# The fleet report: placement header, then the one server's books and
+# one engine line per tenant of each device.
 grep -q "fleet: 2 device(s)" "$SERVER_OUT"
-grep -q "member fpga0" "$SERVER_OUT"
-grep -q "member fpga1" "$SERVER_OUT"
-grep -Eq "fleet: routed=[0-9]+ accepted=" "$SERVER_OUT"
+grep -Eq "^server: [0-9]+ requests" "$SERVER_OUT"
+grep -q "^rpc: " "$SERVER_OUT"
+grep -Eq "^engine .*@fpga0/" "$SERVER_OUT"
+grep -Eq "^engine .*@fpga1/" "$SERVER_OUT"
+
+# A fleet needs no RPC front end: a local CSV replay through two devices
+# is byte-identical to the local single-tenant FPGA path.
+"$CLI" serve --model a="$MODEL" --fleet-devices 2 --fleet-replicas 2 \
+  --requests a="$SAMPLES" --batch 8 --max-latency-us 500 \
+  > "$WORK/fleet_smoke.replay.out" 2> "$WORK/fleet_smoke.replay.err"
+sed -n '/^== model/,/^fleet: /p' "$WORK/fleet_smoke.replay.out" \
+  | grep -Ev '^(== model|fleet: )' > "$WORK/fleet_smoke.replay_a.out"
+diff "$WORK/fleet_smoke.local_a.out" "$WORK/fleet_smoke.replay_a.out"
+grep -Eq "^engine .*@fpga0/" "$WORK/fleet_smoke.replay.out"
+grep -Eq "^engine .*@fpga1/" "$WORK/fleet_smoke.replay.out"
+echo "fleet local replay matches local inference"
 
 # Both sides of the traced run left Chrome-trace artifacts behind.
 [ -s "$WORK/fleet_smoke.server_trace.json" ]

@@ -7,7 +7,8 @@
 #   2. the same seed + the same plan must reproduce the stdout summary
 #      byte for byte,
 #   3. a --disarm run must be byte-identical to running with no plan at
-#      all (the injection sites cost nothing when disarmed),
+#      all (the injection sites cost nothing when disarmed), and the
+#      chaos run's result digest must equal the calm run's,
 #   4. loadgen must exit non-zero when the failed fraction exceeds
 #      --max-failure-rate, and its report must carry the give-up
 #      histogram.
@@ -53,6 +54,12 @@ echo "chaos soak reproduces by seed"
   > "$WORK/soak_disarmed.out" 2>/dev/null
 diff "$WORK/soak_calm.out" "$WORK/soak_disarmed.out"
 echo "disarmed plan is byte-identical to no plan"
+
+# Faults delay work, they never corrupt it: the chaos run's result
+# digest equals the calm run's.
+diff <(grep "digest=" "$WORK/soak_chaos.out") \
+     <(grep "digest=" "$WORK/soak_calm.out")
+echo "chaos digest equals calm digest"
 
 # 4. loadgen --max-failure-rate: a 1-microsecond deadline fails every
 # request; without the flag that is still exit 0 (rate gate off), with

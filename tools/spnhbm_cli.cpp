@@ -79,8 +79,8 @@
 //       was minted for: the engine composes with the tuned block size and
 //       HBM channel packing, the lane batches to the tuned batch_samples
 //       and flush deadline, and --pes defaults to the tuned PE count.
-//       Fleet serving sizes each replica's partition from the manifest
-//       when --fleet-pe-slots is not given (deficit-checked placement).
+//       A fleet sizes each replica's partition from the manifest when
+//       --fleet-pe-slots is not given (deficit-checked placement).
 //
 //   spnhbm serve --model name=path[@version] [--model ...]
 //                --requests name=samples.csv [--requests ...]
@@ -102,17 +102,21 @@
 //       --shutdown) or SIGINT/SIGTERM, then drains and prints the usual
 //       per-engine report plus the RPC conservation summary.
 //
-//   spnhbm serve --model ... --fleet-devices N --listen PORT
-//                [--fleet-replicas R] [--fleet-pe-slots S]
-//                [--rebalance-ms MS] [common flags]
-//       Fleet serving: N simulated FPGA cards behind one router. Every
-//       --model is deployed as R spatial tenants (disjoint partitions,
-//       placed on the least-loaded card; adding one is a partial
-//       reconfiguration that leaves co-resident tenants serving), and the
-//       RPC front end routes each request to a replica, failing over when
-//       a member's queue is full. --rebalance-ms periodically runs the
-//       telemetry-driven rebalancer: models taking a hot share of the
-//       traffic gain a replica, cold ones shrink (never below one).
+//   spnhbm serve --model ... --fleet-devices N [--fleet-replicas R]
+//                [--fleet-pe-slots S] [--rebalance-ms MS] [common flags]
+//       Fleet serving: N simulated FPGA cards instead of --engines. Every
+//       --model is deployed as R spatial tenants (disjoint partitions of
+//       S PEs, placed on the card with the most free PE slots; adding one
+//       is a partial reconfiguration that leaves co-resident tenants
+//       serving), and every tenant registers in the one server, so
+//       batching, failover, quarantine and probes work across the fleet
+//       exactly as across local engines; --queue-bound bounds the whole
+//       fleet. The fleet replays --requests CSVs or serves --listen like
+//       any other serve; its report adds the placement and one
+//       "engine ... @<card>/<partition>" line per tenant. With --listen,
+//       --rebalance-ms periodically runs the telemetry-driven
+//       rebalancer: models taking a hot share of the traffic gain a
+//       replica, cold ones shrink (never below one).
 //
 //   spnhbm loadgen --connect HOST:PORT --requests <samples.csv>
 //                  [--model name[@version]] [--count N] [--rate RPS]
@@ -193,6 +197,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -880,6 +885,7 @@ void print_server_report(const engine::InferenceServer& server,
     std::printf("rpc: %s\n", rpc_stats->describe().c_str());
   }
   for (std::size_t i = 0; i < server.engine_count(); ++i) {
+    if (server.engine_retired(i)) continue;  // rebalancing retires engines
     std::printf("engine %s [%s]: %s\n",
                 server.engine(i).capabilities().name.c_str(),
                 engine::to_string(server.engine_health(i)).c_str(),
@@ -999,42 +1005,16 @@ LoadedModels load_models(const Args& args,
   return models;
 }
 
-int cmd_serve_multi(const Args& args,
-                    const std::vector<std::string>& model_specs) {
-  const TelemetryOutputs telemetry_outputs = TelemetryOutputs::from_args(args);
-  const bool chaos = arm_fault_plan(args);
-  const auto queries = parse_queries(args);
-
-  // The registry holds the first-listed query kind of each model — the
-  // variant local CSV replays address by name.
-  const LoadedModels models = load_models(args, model_specs);
-  model::ModelRegistry registry;
-  engine::InferenceServer server(server_config_from_args(args));
-  for (const auto& artifact : models.artifacts) {
-    const auto query = artifact->module().query();
-    std::fprintf(stderr, "loaded %s (%s)\n", artifact->describe().c_str(),
-                 compiler::query_kind_name(query));
-    if (query == queries.front()) registry.add(artifact);
-    register_engines_for(server, args, artifact, chaos);
-  }
-  server.start();
-
-  if (!args.option("listen", "").empty()) {
-    const rpc::RpcServerStats rpc_stats = run_rpc_front_end(server, args);
-    server.stop();
-    print_server_report(server, &rpc_stats);
-    if (chaos) print_fault_summary();
-    telemetry_outputs.write();
-    return 0;
-  }
-
-  // Replay each --requests name=path CSV against its model's
-  // first-listed query lane; rows become independent single-sample
-  // requests, so batches of different models interleave through the one
-  // server. Under chaos or a request timeout, a fail-fast
-  // NoHealthyEngineError is handled the way a real client would: back
-  // off and resubmit until a probe readmits an engine; rows that still
-  // fail print an "error:" line.
+/// Replays each --requests name=path CSV against its model's first-listed
+/// query lane and prints the results; rows become independent
+/// single-sample requests, so batches of different models interleave
+/// through the one server. Under chaos or a request timeout, a fail-fast
+/// NoHealthyEngineError is handled the way a real client would: back off
+/// and resubmit until a probe readmits an engine; rows that still fail
+/// print an "error:" line.
+void replay_requests(engine::InferenceServer& server, const Args& args,
+                     const model::ModelRegistry& registry,
+                     compiler::QueryKind query, bool chaos) {
   const bool soft_errors =
       chaos || std::atoll(args.option("request-timeout", "0").c_str()) > 0;
   struct Replay {
@@ -1055,7 +1035,7 @@ int cmd_serve_multi(const Args& args,
           artifact->id().c_str(), artifact->input_features()));
     }
     Replay replay;
-    replay.id = engine::lane_id_for(artifact->id(), queries.front());
+    replay.id = engine::lane_id_for(artifact->id(), query);
     for (auto& row : rows_as_payloads(data)) {
       for (int backoff = 0;; ++backoff) {
         try {
@@ -1084,101 +1064,115 @@ int cmd_serve_multi(const Args& args,
       }
     }
   }
-  server.stop();
-
-  print_server_report(server);
-  if (chaos) print_fault_summary();
-  telemetry_outputs.write();
-  return 0;
 }
 
-/// `serve --fleet-devices N`: N simulated cards behind one FleetRouter,
-/// each --model deployed as --fleet-replicas spatial tenants, the whole
-/// fleet exposed over the RPC wire. --rebalance-ms runs the
-/// telemetry-driven rebalancer periodically while serving.
-int cmd_serve_fleet(const Args& args,
-                    const std::vector<std::string>& model_specs,
-                    std::size_t devices) {
+/// The one serve driver. Engines come from --engines, registered in a
+/// local InferenceServer, or with --fleet-devices N from deploying every
+/// --model as --fleet-replicas spatial tenants over N simulated cards,
+/// registered in the fleet's one server. That server then answers the RPC
+/// front end (--listen; a fleet also runs the rebalancer every
+/// --rebalance-ms) or the --requests CSV replays, and is reported on the
+/// same way.
+int cmd_serve_models(const Args& args,
+                     const std::vector<std::string>& model_specs) {
   const TelemetryOutputs telemetry_outputs = TelemetryOutputs::from_args(args);
-  if (args.option("listen", "").empty()) {
-    throw Error("--fleet-devices requires --listen (a fleet serves over RPC)");
-  }
+  const bool chaos = arm_fault_plan(args);
+  const auto queries = parse_queries(args);
+  const auto fleet_devices = static_cast<std::size_t>(
+      std::atoll(args.option("fleet-devices", "0").c_str()));
   const int replicas =
       std::max(1, std::atoi(args.option("fleet-replicas", "1").c_str()));
   const std::string pe_slots_text = args.option("fleet-pe-slots", "");
-  const int pe_slots =
-      std::max(1, pe_slots_text.empty() ? 1 : std::atoi(pe_slots_text.c_str()));
+  const int pe_slots = std::max(
+      1, pe_slots_text.empty() ? 1 : std::atoi(pe_slots_text.c_str()));
 
-  fleet::FleetConfig config;
-  config.devices = devices;
-  config.server = server_config_from_args(args);
-  config.default_pe_slots = pe_slots;
-  fleet::FleetRouter router(config);
+  std::optional<fleet::FleetRouter> fleet;
+  std::optional<engine::InferenceServer> local;
+  if (fleet_devices > 0) {
+    fleet::FleetConfig config;
+    config.devices = fleet_devices;
+    config.server = server_config_from_args(args);
+    fleet.emplace(std::move(config));
+  } else {
+    local.emplace(server_config_from_args(args));
+  }
+  engine::InferenceServer& server = fleet ? fleet->server() : *local;
+  engine::InferenceService* service = &server;
+  if (fleet) service = &*fleet;
+
+  // The registry holds the first-listed query kind of each model — the
+  // variant local CSV replays address by name.
   const LoadedModels models = load_models(args, model_specs);
+  model::ModelRegistry registry;
   for (const auto& artifact : models.artifacts) {
+    const auto query = artifact->module().query();
+    std::fprintf(stderr, "loaded %s (%s)\n", artifact->describe().c_str(),
+                 compiler::query_kind_name(query));
+    if (query == queries.front()) registry.add(artifact);
+    if (!fleet) {
+      register_engines_for(server, args, artifact, chaos);
+      continue;
+    }
     for (int r = 0; r < replicas; ++r) {
       // An explicit --fleet-pe-slots wins; otherwise deploy() sizes the
       // partition from the model's tuning manifest (deficit-checked by
-      // the partition table) or the fleet default.
+      // the partition table), or gives it one PE.
       const auto location =
-          router.deploy(artifact, pe_slots_text.empty() ? 0 : pe_slots);
+          fleet->deploy(artifact, pe_slots_text.empty() ? 0 : pe_slots);
       std::fprintf(stderr, "deployed %s (%s) -> %s/%s\n",
-                   artifact->id().c_str(),
-                   compiler::query_kind_name(artifact->module().query()),
-                   router.device(location.member).name().c_str(),
+                   artifact->id().c_str(), compiler::query_kind_name(query),
+                   fleet->device(location.member).name().c_str(),
                    location.partition.c_str());
     }
   }
-  router.start();
+  server.start();
 
-  // The rebalancer is control-plane; it may run concurrently with the
-  // RPC data plane, but must be joined before stop().
-  std::atomic<bool> quit{false};
-  std::thread rebalancer;
-  const long long rebalance_ms =
-      std::atoll(args.option("rebalance-ms", "0").c_str());
-  if (rebalance_ms > 0) {
-    rebalancer = std::thread([&] {
-      fleet::RebalancePolicy policy;
-      policy.pe_slots = pe_slots;
-      while (!quit.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(rebalance_ms));
-        if (quit.load()) break;
-        const fleet::RebalanceReport report = router.rebalance(policy);
-        if (report.changed()) {
-          std::fprintf(stderr, "fleet %s\n", report.describe().c_str());
+  std::optional<rpc::RpcServerStats> rpc_stats;
+  if (!args.option("listen", "").empty()) {
+    // The rebalancer is control-plane; it may run concurrently with the
+    // RPC data plane, but must be joined before stop().
+    std::atomic<bool> quit{false};
+    std::thread rebalancer;
+    const long long rebalance_ms =
+        std::atoll(args.option("rebalance-ms", "0").c_str());
+    if (fleet && rebalance_ms > 0) {
+      rebalancer = std::thread([&] {
+        fleet::RebalancePolicy policy;
+        policy.pe_slots = pe_slots;
+        while (!quit.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(rebalance_ms));
+          if (quit.load()) break;
+          const fleet::RebalanceReport report = fleet->rebalance(policy);
+          if (report.changed()) {
+            std::fprintf(stderr, "fleet %s\n", report.describe().c_str());
+          }
         }
-      }
-    });
+      });
+    }
+    rpc_stats = run_rpc_front_end(*service, args);
+    quit.store(true);
+    if (rebalancer.joinable()) rebalancer.join();
+  } else {
+    replay_requests(server, args, registry, queries.front(), chaos);
   }
+  server.stop();
 
-  const rpc::RpcServerStats rpc_stats = run_rpc_front_end(router, args);
-  quit.store(true);
-  if (rebalancer.joinable()) rebalancer.join();
-  router.stop();
-
-  std::printf("%s", router.describe().c_str());
-  std::printf("%s\n", router.stats().describe().c_str());
-  std::printf("rpc: %s\n", rpc_stats.describe().c_str());
-  for (std::size_t m = 0; m < router.member_count(); ++m) {
-    std::printf("member %s: %s\n", router.device(m).name().c_str(),
-                router.server(m).stats().describe().c_str());
+  if (fleet) {
+    std::printf("%s", fleet->describe().c_str());
+    std::printf("%s\n", fleet->stats().describe().c_str());
   }
+  print_server_report(server, rpc_stats ? &*rpc_stats : nullptr);
+  if (chaos) print_fault_summary();
   telemetry_outputs.write();
   return 0;
 }
 
 int cmd_serve(const Args& args) {
   const auto model_specs = args.option_all("model");
-  const auto fleet_devices = static_cast<std::size_t>(
-      std::atoll(args.option("fleet-devices", "0").c_str()));
-  if (fleet_devices > 0) {
-    if (model_specs.empty()) {
-      throw Error("--fleet-devices requires --model name=path specs");
-    }
-    return cmd_serve_fleet(args, model_specs, fleet_devices);
+  if (!model_specs.empty()) return cmd_serve_models(args, model_specs);
+  if (!args.option("fleet-devices", "").empty()) {
+    throw Error("--fleet-devices requires --model name=path specs");
   }
-  if (!model_specs.empty()) return cmd_serve_multi(args, model_specs);
   // The positional single-model form `serve <model> [--requests csv]
   // [--tuning file]` is `--model model=<model>@1` with its request and
   // tuning files addressed to that model.
@@ -1191,7 +1185,7 @@ int cmd_serve(const Args& args) {
   for (auto& [key, value] : single.options) {
     if (key == "requests" || key == "tuning") value = "model=" + value;
   }
-  return cmd_serve_multi(single, {"model=" + args.positional[0] + "@1"});
+  return cmd_serve_models(single, {"model=" + args.positional[0] + "@1"});
 }
 
 /// Loadgen "--model name[:weight]" entries plus "--requests [name=]path"
