@@ -73,4 +73,11 @@ std::vector<std::uint8_t> encode_sparse(const SparseBatch& batch);
 SparseBatch decode_sparse(std::span<const std::uint8_t> stream,
                           std::size_t features, std::size_t sample_count);
 
+/// Bytes of the first `samples` per-sample records of `stream`, found by
+/// walking their count headers (2 + 3·active bytes each). The stream must
+/// already have passed decode_sparse: this is how a validated stream is
+/// cut at a sample boundary without decoding it again.
+std::size_t sparse_prefix_bytes(std::span<const std::uint8_t> stream,
+                                std::size_t samples);
+
 }  // namespace spnhbm::compiler

@@ -144,4 +144,18 @@ SparseBatch decode_sparse(std::span<const std::uint8_t> stream,
   return batch;
 }
 
+std::size_t sparse_prefix_bytes(std::span<const std::uint8_t> stream,
+                                std::size_t samples) {
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < samples; ++i) {
+    SPNHBM_REQUIRE(at + 2 <= stream.size(),
+                   "sparse stream holds fewer samples than asked for");
+    const std::size_t active = stream[at] | (std::size_t{stream[at + 1]} << 8);
+    at += 2 + 3 * active;
+  }
+  SPNHBM_REQUIRE(at <= stream.size(),
+                 "sparse stream holds fewer samples than asked for");
+  return at;
+}
+
 }  // namespace spnhbm::compiler

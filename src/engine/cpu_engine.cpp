@@ -86,7 +86,7 @@ BatchHandle CpuEngine::submit(std::span<const std::uint8_t> samples,
 BatchHandle CpuEngine::submit_sparse(std::span<const std::uint8_t> stream,
                                      std::size_t sample_count,
                                      std::span<double> results) {
-  check_sparse_batch(stream, sample_count, results);
+  check_sparse_batch(sample_count, results);
   const auto& module = model_->module();
   // Densify up front (the helper thread owns the buffer) and reuse the
   // dense vectorised kernel.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "spnhbm/compiler/datapath.hpp"
-#include "spnhbm/compiler/sparse_evidence.hpp"
 #include "spnhbm/engine/service.hpp"
 #include "spnhbm/util/strings.hpp"
 #include "spnhbm/util/units.hpp"
@@ -109,8 +108,7 @@ std::vector<double> InferenceEngine::infer_sparse(
   return results;
 }
 
-void InferenceEngine::check_sparse_batch(std::span<const std::uint8_t> stream,
-                                         std::size_t sample_count,
+void InferenceEngine::check_sparse_batch(std::size_t sample_count,
                                          std::span<double> results) const {
   const auto& caps = capabilities();
   SPNHBM_REQUIRE(caps.functional,
@@ -119,9 +117,6 @@ void InferenceEngine::check_sparse_batch(std::span<const std::uint8_t> stream,
                      "batches");
   SPNHBM_REQUIRE(sample_count > 0 && results.size() == sample_count,
                  "sparse sample_count/results size mismatch");
-  // Full decode: bounds, ordering, duplicates, truncation. Rejection
-  // happens before the engine touches the batch.
-  compiler::decode_sparse(stream, caps.input_features, sample_count);
 }
 
 }  // namespace spnhbm::engine

@@ -217,7 +217,7 @@ BatchHandle FpgaSimEngine::submit(std::span<const std::uint8_t> samples,
 BatchHandle FpgaSimEngine::submit_sparse(std::span<const std::uint8_t> stream,
                                          std::size_t sample_count,
                                          std::span<double> results) {
-  check_sparse_batch(stream, sample_count, results);
+  check_sparse_batch(sample_count, results);
   const Picoseconds before = scheduler_.now();
   const auto values = runtime_->infer_sparse(stream, sample_count);
   std::copy(values.begin(), values.end(), results.begin());

@@ -50,7 +50,7 @@ BatchHandle GpuModelEngine::submit(std::span<const std::uint8_t> samples,
 BatchHandle GpuModelEngine::submit_sparse(std::span<const std::uint8_t> stream,
                                           std::size_t sample_count,
                                           std::span<double> results) {
-  check_sparse_batch(stream, sample_count, results);
+  check_sparse_batch(sample_count, results);
   const compiler::DatapathModule& module = artifact_->module();
   module.program(*f64_).evaluate(
       compiler::decode_sparse(stream, module.input_features(), sample_count),

@@ -136,11 +136,11 @@ class InferenceEngine {
   std::size_t check_batch(std::span<const std::uint8_t> samples,
                           std::span<double> results) const;
 
-  /// Validates a submit_sparse() call (functional capability, result span
-  /// width, and full stream decode — malformed streams throw ParseError
-  /// before any engine state changes).
-  void check_sparse_batch(std::span<const std::uint8_t> stream,
-                          std::size_t sample_count,
+  /// Checks a submit_sparse() call's shape (functional capability, result
+  /// span width). The stream itself is validated by the one decode each
+  /// engine's sparse path makes before it touches device or engine state,
+  /// so a malformed stream still throws ParseError with no state changed.
+  void check_sparse_batch(std::size_t sample_count,
                           std::span<double> results) const;
 };
 

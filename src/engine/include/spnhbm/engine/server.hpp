@@ -6,10 +6,12 @@
 //   * queues them per model (a "lane"), bounded: once queued + in-flight
 //     samples reach ServerConfig::max_queue_samples, submit() blocks
 //     (backpressure) and try_submit() rejects,
-//   * coalesces adjacent same-model requests into engine batches of up to
-//     batch_samples — batches never mix models — flushing a partial batch
-//     once the oldest queued request of its lane has waited max_latency
-//     (the tail-latency bound),
+//   * coalesces adjacent same-model requests of one encoding (dense rows
+//     or CSR sparse streams) into engine batches of up to batch_samples —
+//     batches never mix models or encodings — slicing a request that
+//     overflows the target at a sample boundary, and flushing a partial
+//     batch once the oldest queued request of its lane has waited
+//     max_latency (the tail-latency bound),
 //   * dispatches batches across the engines currently serving that model,
 //     round-robin (one cursor per model) or by least expected completion
 //     time (outstanding work divided by measured throughput, falling
@@ -316,9 +318,10 @@ class InferenceServer : public InferenceService {
   /// `sample_count` samples. The stream is validated at this front door
   /// (a malformed one throws ParseError here, never inside an engine
   /// where it would read as an engine fault and trip the health
-  /// machinery). A sparse request is dispatched as one indivisible batch:
-  /// the stream is not sliceable at sample granularity without
-  /// re-encoding, so it is never coalesced with other requests.
+  /// machinery). Sparse requests coalesce with each other like dense
+  /// ones: a CSR stream is a run of self-delimiting per-sample records,
+  /// so a batch's stream is its slices' bytes joined, each cut at a
+  /// sample boundary found from the validated count headers.
   std::optional<std::future<std::vector<double>>> try_submit_sparse(
       const std::string& model, std::vector<std::uint8_t> stream,
       std::size_t sample_count,
@@ -377,9 +380,12 @@ class InferenceServer : public InferenceService {
     std::exception_ptr error;
     /// Distributed-tracing context; invalid (trace_id 0) when untraced.
     telemetry::TraceContext trace;
-    /// samples holds a CSR evidence stream; the request dispatches as one
-    /// indivisible batch (cursor jumps 0 -> count).
+    /// samples holds a CSR evidence stream, validated at the front door.
     bool sparse = false;
+    /// Byte position of sample `cursor` in samples: dense rows advance it
+    /// by a fixed stride, a sparse stream by walking the count headers of
+    /// the samples taken.
+    std::size_t byte_cursor = 0;
   };
 
   struct BatchSlice {

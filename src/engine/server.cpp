@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <string>
 
 #include "spnhbm/compiler/sparse_evidence.hpp"
@@ -539,7 +540,8 @@ InferenceServer::try_submit_sparse(const std::string& model,
   SPNHBM_REQUIRE(sample_count > 0, "sparse submit needs at least one sample");
   // Front-door validation: a malformed stream fails on the caller's
   // thread, never inside an engine where it would read as an engine fault
-  // and feed the health state machine.
+  // and feed the health state machine. Batch formation trusts the count
+  // headers from here on.
   compiler::decode_sparse(stream, lane.input_features, sample_count);
   SPNHBM_REQUIRE(sample_count <= config_.max_queue_samples,
                  "request larger than the whole queue bound");
@@ -703,16 +705,19 @@ InferenceServer::Batch InferenceServer::form_batch_locked(
     const std::string& model, ModelLane& lane) {
   Batch batch;
   batch.model = model;
+  // The front request's encoding decides the batch's: it takes requests
+  // of that encoding in FIFO order up to the target and closes when the
+  // other encoding comes up, so dense and sparse never share a batch.
+  // Both slice at sample boundaries — dense rows are fixed-width, and a
+  // sparse batch's stream is its slices' bytes joined, no re-encoding.
+  batch.sparse = lane.queue.front()->sparse;
   const std::size_t batch_target = lane_batch_locked(lane);
-  batch.samples.reserve(std::min(lane.queued_samples, batch_target) *
-                        lane.input_features);
+  // Each slice's bytes, copied once the batch's exact size is known.
+  std::vector<std::span<const std::uint8_t>> pieces;
+  std::size_t batch_bytes = 0;
   while (batch.sample_count < batch_target && !lane.queue.empty()) {
     auto& request = lane.queue.front();
-    // A sparse request rides alone: its CSR stream cannot be sliced at
-    // sample granularity (or concatenated with dense rows) without
-    // re-encoding. Close the dense batch formed so far; the sparse one
-    // follows on the next loop turn.
-    if (request->sparse && batch.sample_count > 0) break;
+    if (request->sparse != batch.sparse) break;
     if (request->cursor == 0) {
       // First slice of this request leaves the queue: its queue wait ends.
       queue_wait_us_->record(elapsed_us(request->enqueue_time));
@@ -728,31 +733,27 @@ InferenceServer::Batch InferenceServer::form_batch_locked(
     if (!batch.trace.valid() && request->trace.valid()) {
       batch.trace = request->trace;
     }
-    if (request->sparse) {
-      // Whole-request batch; the stream is copied so a retry after an
-      // engine failure re-dispatches from the batch, like dense batches.
-      batch.sparse = true;
-      batch.samples = request->samples;
-      batch.slices.push_back({request, 0, 0, request->count});
-      batch.sample_count = request->count;
-      request->cursor = request->count;
-      lane.queued_samples -= request->count;
-      lane.queue.pop_front();
-      break;
-    }
     const std::size_t take =
         std::min(batch_target - batch.sample_count,
                  request->count - request->cursor);
-    const auto* begin =
-        request->samples.data() + request->cursor * lane.input_features;
-    batch.samples.insert(batch.samples.end(), begin,
-                         begin + take * lane.input_features);
+    const auto rest = std::span<const std::uint8_t>(request->samples)
+                          .subspan(request->byte_cursor);
+    const std::size_t length =
+        request->sparse ? compiler::sparse_prefix_bytes(rest, take)
+                        : take * lane.input_features;
+    pieces.push_back(rest.first(length));
+    batch_bytes += length;
+    request->byte_cursor += length;
     batch.slices.push_back(
         {request, request->cursor, batch.sample_count, take});
     request->cursor += take;
     batch.sample_count += take;
     lane.queued_samples -= take;
     if (request->cursor == request->count) lane.queue.pop_front();
+  }
+  batch.samples.reserve(batch_bytes);
+  for (const auto piece : pieces) {
+    batch.samples.insert(batch.samples.end(), piece.begin(), piece.end());
   }
   batch.results.resize(batch.sample_count);
   stats_.batches += 1;

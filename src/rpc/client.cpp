@@ -160,21 +160,31 @@ std::future<std::vector<double>> RpcClient::submit(
     const std::string& model, std::vector<std::uint8_t> samples,
     std::uint64_t deadline_us, std::uint64_t idempotency_key,
     const QueryOptions& query) {
-  auto promise = std::make_shared<std::promise<std::vector<double>>>();
-  std::future<std::vector<double>> future = promise->get_future();
+  // The reader thread resolves a promise that carries only a value; the
+  // typed error is constructed by the thread that calls get(), so no
+  // exception object is shared between threads.
+  struct Outcome {
+    Status status = Status::kOk;
+    std::vector<double> results;
+    std::string error;
+  };
+  auto promise = std::make_shared<std::promise<Outcome>>();
+  std::future<Outcome> outcome = promise->get_future();
   submit_with_callback(
       model, std::move(samples), deadline_us,
       [promise](Status status, const std::vector<double>& results,
                 const std::string& error) {
-        if (status == Status::kOk) {
-          promise->set_value(results);
-        } else {
-          promise->set_exception(
-              std::make_exception_ptr(RpcStatusError(status, error)));
-        }
+        promise->set_value({status, results, error});
       },
       idempotency_key, query);
-  return future;
+  return std::async(std::launch::deferred,
+                    [outcome = std::move(outcome)]() mutable {
+                      Outcome answer = outcome.get();
+                      if (answer.status != Status::kOk) {
+                        throw RpcStatusError(answer.status, answer.error);
+                      }
+                      return std::move(answer.results);
+                    });
 }
 
 std::vector<double> RpcClient::infer(const std::string& model,

@@ -8,11 +8,13 @@
 // Requests are fully pipelined: submit() assigns a request id, writes the
 // frame (serialised by a send mutex — safe from any thread) and returns a
 // future; a background reader thread matches response frames back to
-// their promises. A non-OK response resolves the future with
+// their requests. A non-OK response makes the future's get() throw
 // RpcStatusError carrying the typed wire status, so callers can
 // distinguish retryable sheds (OVERLOADED, NO_HEALTHY_ENGINE) from hard
-// failures. A dropped connection fails every outstanding future with
-// RpcError.
+// failures; a dropped connection fails every outstanding request with
+// status INTERNAL_ERROR. The reader thread hands each answer over as a
+// plain value, and the error is constructed on the thread that calls
+// get(), so no exception object is shared between threads.
 #pragma once
 
 #include <cstdint>
@@ -105,9 +107,12 @@ class RpcClient {
   /// Pipelined asynchronous request. `model` is a lane reference; empty =
   /// the server's first advertised lane. `deadline_us` 0 = no
   /// per-request deadline. The future carries one probability per sample
-  /// row, or RpcStatusError / RpcError. A non-zero `idempotency_key`
-  /// marks retries of one logical request so the server can deduplicate
-  /// them. `query` selects sparse evidence.
+  /// row, or throws RpcStatusError. It is deferred: get() blocks until the
+  /// response arrives, while wait_for/wait_until report
+  /// std::future_status::deferred (outstanding() tells whether an answer
+  /// is still due). A non-zero `idempotency_key` marks retries of one
+  /// logical request so the server can deduplicate them. `query` selects
+  /// sparse evidence.
   std::future<std::vector<double>> submit(const std::string& model,
                                           std::vector<std::uint8_t> samples,
                                           std::uint64_t deadline_us = 0,
@@ -141,7 +146,8 @@ class RpcClient {
   /// fresh connection is needed.
   bool alive() const;
 
-  /// Closes the connection; outstanding futures fail with RpcError.
+  /// Closes the connection; outstanding requests fail with status
+  /// INTERNAL_ERROR (a future's get() throws RpcStatusError).
   /// Idempotent; the destructor calls it.
   void close();
 

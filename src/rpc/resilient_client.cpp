@@ -206,24 +206,31 @@ std::vector<double> ResilientClient::infer(const std::string& model,
                                            std::vector<std::uint8_t> samples,
                                            std::uint64_t deadline_us,
                                            const QueryOptions& query) {
-  auto promise = std::make_shared<std::promise<std::vector<double>>>();
-  std::future<std::vector<double>> future = promise->get_future();
+  // The callback hands over a value; the give-up error is constructed on
+  // this thread, so no exception object is shared with the reader thread.
+  struct Outcome {
+    Status status = Status::kOk;
+    std::vector<double> results;
+    std::string error;
+    GiveUpReason reason = GiveUpReason::kNone;
+  };
+  auto promise = std::make_shared<std::promise<Outcome>>();
+  std::future<Outcome> future = promise->get_future();
   submit_with_callback(
       model, std::move(samples), deadline_us,
       [promise](Status status, const std::vector<double>& results,
                 const std::string& error, GiveUpReason reason) {
-        if (status == Status::kOk) {
-          promise->set_value(results);
-        } else {
-          if (reason == GiveUpReason::kNone) {
-            reason = GiveUpReason::kNonRetryable;
-          }
-          promise->set_exception(std::make_exception_ptr(
-              RpcGiveUpError(reason, status, 0, error)));
-        }
+        promise->set_value({status, results, error, reason});
       },
       query);
-  return future.get();
+  Outcome outcome = future.get();
+  if (outcome.status != Status::kOk) {
+    throw RpcGiveUpError(outcome.reason == GiveUpReason::kNone
+                             ? GiveUpReason::kNonRetryable
+                             : outcome.reason,
+                         outcome.status, 0, outcome.error);
+  }
+  return std::move(outcome.results);
 }
 
 ServerInfo ResilientClient::server_info() {

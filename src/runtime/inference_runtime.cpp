@@ -298,11 +298,14 @@ std::vector<double> InferenceRuntime::infer_sparse(
     std::span<const std::uint8_t> stream, std::size_t sample_count) {
   SPNHBM_REQUIRE(sample_count > 0, "nothing to infer");
   // Validate on the host before any bytes move: a malformed stream must
-  // fail here, not inside the device. The decode's offsets also give
-  // every sample's byte position, where blocks may be cut.
-  const compiler::SparseBatch batch =
-      compiler::decode_sparse(stream, module_.input_features(), sample_count);
-  return infer_blocks(stream, sample_count, batch.offsets);
+  // fail here, not inside the device. This is the batch's one host-side
+  // decode; only its offsets are kept (the decoded pairs are dropped at
+  // once), and they give every sample's byte position, where blocks may
+  // be cut.
+  const std::vector<std::uint32_t> offsets =
+      compiler::decode_sparse(stream, module_.input_features(), sample_count)
+          .offsets;
+  return infer_blocks(stream, sample_count, offsets);
 }
 
 }  // namespace spnhbm::runtime

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <span>
 
 #include "spnhbm/compiler/sparse_evidence.hpp"
 #include "spnhbm/engine/fpga_engine.hpp"
@@ -56,6 +57,10 @@ struct PendingRequest {
   double arrival_us = 0.0;
   std::size_t remaining = 0;
   bool sparse = false;
+  /// Sparse only: the request's CSR stream and the byte position of its
+  /// first sample not yet batched.
+  std::vector<std::uint8_t> stream;
+  std::size_t byte_cursor = 0;
 };
 
 }  // namespace
@@ -116,8 +121,8 @@ CandidateScore score_candidate(const model::ModelHandle& model,
       dense_service.emplace(samples, us);
       return us;
     };
-    auto sparse_service_us = [&](std::size_t index, std::size_t samples) {
-      const auto stream = make_sparse_stream(spec, index, samples, features);
+    auto sparse_service_us = [&](const std::vector<std::uint8_t>& stream,
+                                 std::size_t samples) {
       const auto before = engine.virtual_now();
       runtime.infer_sparse(stream, samples);
       const auto after = engine.virtual_now();
@@ -140,7 +145,11 @@ CandidateScore score_candidate(const model::ModelHandle& model,
         const auto& request = trace[next_arrival];
         queue.push_back({next_arrival,
                          static_cast<double>(request.arrival_us),
-                         request.samples, request.sparse});
+                         request.samples, request.sparse,
+                         request.sparse
+                             ? make_sparse_stream(spec, next_arrival,
+                                                  request.samples, features)
+                             : std::vector<std::uint8_t>{}});
         queued_samples += request.samples;
         ++next_arrival;
       }
@@ -153,8 +162,8 @@ CandidateScore score_candidate(const model::ModelHandle& model,
       // Earliest instant the dispatcher could act on the current front.
       double ready = std::max(engine_free, queue.front().arrival_us);
       admit_until(ready);
-      if (queued_samples < target && !queue.front().sparse) {
-        // Partial dense batch: wait until arrivals fill it or the oldest
+      if (queued_samples < target) {
+        // Partial batch: wait until arrivals fill it or the oldest
         // request's flush deadline expires, whichever comes first.
         const double flush_at = queue.front().arrival_us + flush_us;
         double fill_at = std::numeric_limits<double>::infinity();
@@ -172,32 +181,37 @@ CandidateScore score_candidate(const model::ModelHandle& model,
         admit_until(ready);
       }
 
-      double service = 0.0;
+      // One batch of the front request's encoding, as the live dispatcher
+      // forms it: requests of that encoding in FIFO order up to the
+      // target, the one that overflows it sliced at a sample boundary. A
+      // sparse batch is timed as its slices' samples joined into one
+      // stream.
+      const bool sparse = queue.front().sparse;
+      std::vector<std::uint8_t> joined;
+      std::size_t batch = 0;
       std::vector<std::size_t> completed;
-      if (queue.front().sparse) {
-        // Sparse streams ride alone, exactly like the live dispatcher.
-        PendingRequest request = queue.front();
-        queue.pop_front();
-        queued_samples -= request.remaining;
-        service = sparse_service_us(request.index, request.remaining);
-        completed.push_back(request.index);
-      } else {
-        std::size_t batch = 0;
-        while (batch < target && !queue.empty() && !queue.front().sparse) {
-          const auto take =
-              std::min(target - batch, queue.front().remaining);
-          queue.front().remaining -= take;
-          batch += take;
-          queued_samples -= take;
-          if (queue.front().remaining == 0) {
-            completed.push_back(queue.front().index);
-            queue.pop_front();
-          } else {
-            break;  // the batch is full; the tail waits for the next one
-          }
+      while (batch < target && !queue.empty() &&
+             queue.front().sparse == sparse) {
+        auto& request = queue.front();
+        const auto take = std::min(target - batch, request.remaining);
+        if (sparse) {
+          const auto rest =
+              std::span<const std::uint8_t>(request.stream)
+                  .subspan(request.byte_cursor);
+          const std::size_t length = compiler::sparse_prefix_bytes(rest, take);
+          joined.insert(joined.end(), rest.begin(), rest.begin() + length);
+          request.byte_cursor += length;
         }
-        service = dense_service_us(batch);
+        request.remaining -= take;
+        batch += take;
+        queued_samples -= take;
+        if (request.remaining == 0) {
+          completed.push_back(request.index);
+          queue.pop_front();
+        }
       }
+      const double service =
+          sparse ? sparse_service_us(joined, batch) : dense_service_us(batch);
       const double start = std::max(ready, engine_free);
       const double done = start + service;
       engine_free = done;

@@ -3,13 +3,15 @@
 // score_candidate() builds a fresh FpgaSimEngine composed exactly as the
 // candidate prescribes (PE count, block size, HBM channel packing,
 // crossbar routing) and replays the workload trace against it in virtual
-// time. The replay mirrors the InferenceServer dispatcher: requests
-// coalesce greedily up to the candidate's batch_samples, a partial batch
-// flushes once its oldest request has waited flush_deadline_us, sparse
-// streams ride alone, and the engine serves one batch at a time. Dense
-// batch service times come from the block-pipelined timing path
-// (InferenceRuntime::run), memoised per batch size; sparse service times
-// come from timing real CSR streams through infer_sparse. Everything is
+// time. The replay mirrors the InferenceServer dispatcher: requests of
+// one encoding coalesce greedily up to the candidate's batch_samples (the
+// request that overflows it is sliced at a sample boundary; dense and
+// sparse never share a batch), a partial batch flushes once its oldest
+// request has waited flush_deadline_us, and the engine serves one batch
+// at a time. Dense batch service times come from the block-pipelined
+// timing path (InferenceRuntime::run), memoised per batch size; a sparse
+// batch is timed as its slices' samples joined into one real CSR stream
+// through infer_sparse. Everything is
 // virtual-time DES — scoring a candidate takes milliseconds of wall
 // clock and is bit-reproducible from the trace.
 //

@@ -197,6 +197,20 @@ TEST(SparseCodec, EncodeDecodeRoundtrip) {
   EXPECT_EQ(decoded.values, batch.values);
 }
 
+TEST(SparseCodec, PrefixBytesCutAtSampleBoundaries) {
+  const SparseBatch batch = two_sample_batch();
+  const auto stream = encode_sparse(batch);
+  EXPECT_EQ(sparse_prefix_bytes(stream, 0), 0u);
+  EXPECT_EQ(sparse_prefix_bytes(stream, 1), 2u + 3u * 3u);
+  EXPECT_EQ(sparse_prefix_bytes(stream, 2), stream.size());
+  // Joining the two cuts gives back a stream that decodes to the batch.
+  const std::size_t cut = sparse_prefix_bytes(stream, 1);
+  const SparseBatch tail =
+      decode_sparse(std::span(stream).subspan(cut), 10, 1);
+  EXPECT_EQ(tail.active_total(), 0u);
+  EXPECT_THROW(sparse_prefix_bytes(stream, 3), std::logic_error);
+}
+
 TEST(SparseCodec, DensifyInvertsSparseFromDense) {
   const std::vector<std::uint8_t> defaults(6, 0xFF);
   std::vector<std::uint8_t> rows = {1, 0xFF, 3, 0xFF, 0xFF, 6,  //

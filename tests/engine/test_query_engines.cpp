@@ -138,6 +138,45 @@ TEST(QueryEngines, SparseEqualsDenseOnEveryBackend) {
   }
 }
 
+TEST(QueryEngines, MalformedSparseStreamThrowsBeforeAnyEngineState) {
+  // Each engine decodes a sparse batch once, and that decode is also its
+  // validation: a bad stream sent straight to the engine (no server front
+  // door) throws ParseError before a batch is counted or a simulated
+  // picosecond passes.
+  const spn::Spn spn = query_spn(108);
+  const auto artifact = query_artifact(spn, compiler::QueryKind::kMarginal);
+  const MissingBatch batch = missing_batch(3, 108);
+  const auto stream = compiler::encode_sparse(compiler::sparse_from_dense(
+      batch.bytes, kVars, artifact->module().default_evidence()));
+  const std::vector<std::uint8_t> out_of_range = {1, 0, kVars, 0, 7,
+                                                  0, 0, 0, 0};
+  const std::vector<std::uint8_t> duplicate = {2, 0, 3, 0, 7, 3, 0, 8,
+                                               0, 0, 0, 0};
+  std::vector<std::uint8_t> trailing = stream;
+  trailing.push_back(0);
+  const std::vector<std::vector<std::uint8_t>> malformed = {
+      {stream.begin(), stream.end() - 1}, trailing, out_of_range, duplicate};
+
+  FpgaSimEngine fpga(artifact);
+  CpuEngine cpu(artifact, {.threads = 2});
+  GpuModelEngine gpu(artifact);
+  for (InferenceEngine* engine :
+       std::initializer_list<InferenceEngine*>{&fpga, &cpu, &gpu}) {
+    const std::string name = engine->capabilities().name;
+    for (std::size_t i = 0; i < malformed.size(); ++i) {
+      const std::uint64_t batches = engine->stats().batches;
+      const Picoseconds clock = fpga.virtual_now();
+      EXPECT_THROW(engine->infer_sparse(malformed[i], 3), ParseError)
+          << name << " stream " << i;
+      EXPECT_EQ(engine->stats().batches, batches) << name << " stream " << i;
+      EXPECT_EQ(fpga.virtual_now(), clock) << name << " stream " << i;
+    }
+    // The engine is untouched: the valid stream still matches dense rows.
+    EXPECT_EQ(engine->infer_sparse(stream, 3), engine->infer(batch.bytes))
+        << name;
+  }
+}
+
 TEST(QueryEngines, ByteOutsideANarrowJointTableThrowsOnEveryBackend) {
   // A joint model over a 16-byte domain: byte 16 has no table entry, and
   // every engine's executor must refuse it as the reference does — for a
